@@ -5,7 +5,7 @@
      csbench diff    OLD.json NEW.json     # full comparison table
      csbench check   OLD.json NEW.json     # same, exit 1 on regressions
      csbench history BENCH_HISTORY.jsonl   # trajectory summary
-     csbench trend   METRIC [--history F] [--store DIR]  # cross-run slope
+     csbench trend   METRIC [--history F]  # cross-run slope and first jump
 
    [check] is the regression gate: verdicts come from Bench_gate's
    noise-aware tolerances (a benchmark whose fit has low r^2 gets a
@@ -185,18 +185,7 @@ let trend_cmd =
              (applied both ways: a 1.25 threshold also fires on a \
              1/1.25 speedup).")
   in
-  let store_root =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Attribute the first significant jump against the traces \
-             filed in this .csobs store: the jump's two commits are \
-             looked up by git sha and their traces diffed to the first \
-             diverging event.")
-  in
-  let run metric file threshold store_root =
+  let run metric file threshold =
     if not (threshold > 1.0) then begin
       prerr_endline "csbench: --threshold must be > 1";
       exit 2
@@ -208,41 +197,27 @@ let trend_cmd =
     | Ok [] ->
         prerr_endline ("csbench: " ^ file ^ ": history is empty");
         exit 2
-    | Ok records -> (
-        let tr = Obs_trend.trajectory ~metric records in
-        if tr.Obs_trend.points = [] then begin
+    | Ok records ->
+        let tr = Bench_trend.trajectory ~metric records in
+        if tr.Bench_trend.points = [] then begin
           prerr_endline
             (Printf.sprintf
                "csbench: benchmark %S not present in any run (have: %s)"
                metric
-               (String.concat ", " (Obs_trend.metrics_of records)));
+               (String.concat ", " (Bench_trend.metrics_of records)));
           exit 2
         end;
-        Format.printf "%a" Obs_trend.pp_trajectory tr;
-        match store_root with
-        | None -> ()
-        | Some root -> (
-            match Obs_store.open_store ~root () with
-            | Error msg ->
-                prerr_endline ("csbench: " ^ msg);
-                exit 2
-            | Ok store -> (
-                match Obs_trend.attribute ~threshold ~store tr with
-                | None ->
-                    Format.printf
-                      "no jump beyond %.2fx between adjacent usable \
-                       points@."
-                      threshold
-                | Some a -> Format.printf "%a" Obs_trend.pp_attribution a)))
+        Format.printf "%a%a" Bench_trend.pp_trajectory tr
+          (Bench_trend.pp_jump ~threshold)
+          (Bench_trend.first_jump ~threshold tr)
   in
   Cmd.v
     (Cmd.info "trend"
        ~doc:
          "Cross-run trend analytics for one benchmark: the trajectory \
           table, a noise-aware slope over the usable points (advisory \
-          entries are shown but never steer the fit), and — with \
-          $(b,--store) — attribution of the first significant jump to \
-          the first diverging trace event."
+          entries are shown but never steer the fit), and the first \
+          adjacent jump beyond $(b,--threshold)."
        ~man:
          [
            `S Manpage.s_description;
@@ -253,7 +228,7 @@ let trend_cmd =
               detection: a measurement with unbounded error bars can \
               neither steer a slope nor convict a commit.";
          ])
-    Term.(const run $ metric $ file $ threshold $ store_root)
+    Term.(const run $ metric $ file $ threshold)
 
 let () =
   let doc = "bench-record diffing and the noise-aware regression gate" in

@@ -136,11 +136,28 @@ let plan_key_of_spec spec =
             geo-inc | exponential | weibull | power-law)"
            other)
 
+(* Every planner and simulator entry point requires a finite c > 0;
+   rejecting anything else here keeps their internal invariant
+   messages (e.g. from the t0 search over a nan bracket) away from the
+   user. *)
+let overhead_conv =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok c when Float.is_finite c && c > 0.0 -> Ok c
+    | Ok _ ->
+        Error
+          (`Msg
+            (Printf.sprintf
+               "invalid value '%s', expected a finite overhead c > 0" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let c_term =
   Arg.(
-    value & opt float 1.0
+    value & opt overhead_conv 1.0
     & info [ "c"; "overhead" ] ~docv:"C"
-        ~doc:"Communication overhead per period (the paper's c).")
+        ~doc:"Communication overhead per period (the paper's c); finite, > 0.")
 
 let with_family spec k =
   match resolve_family spec with
@@ -252,30 +269,6 @@ let snapshot_out_term =
     & info [ "snapshot-out" ] ~docv:"FILE"
         ~doc:"Where $(b,--snapshot-every) writes its snapshot timeline.")
 
-let serve_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "serve" ] ~docv:"ADDR"
-        ~doc:
-          "Expose the live metrics registry over HTTP for the duration \
-           of the run: /metrics (Prometheus text), /health (rule \
-           verdict when $(b,--health) is given), /runs (the .csobs \
-           index). $(docv) is $(b,unix:PATH) or $(b,HOST:PORT).")
-
-let emit_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "emit" ] ~docv:"ADDR"
-        ~doc:
-          "Stream the event trace live to a $(b,cstrace collect) \
-           collector at $(docv) ($(b,unix:PATH) or $(b,HOST:PORT)). \
-           Events are shipped through a bounded non-blocking ring: a \
-           slow or absent collector costs drops (reported after the \
-           run), never simulation time. Composes with $(b,--trace), \
-           which keeps writing the local file.")
-
 (* Build an [Obs.t] from the flags and run [k obs snap res] with it.
    [meta] is a thunk so the git-sha capture only happens when a trace
    file is actually being written. Afterwards: print the registry
@@ -288,11 +281,11 @@ let emit_term =
    that the caller threads to the run's deterministic sampling
    points. *)
 let with_obs ~meta ~trace ~metrics ?prom ?(prom_extra = fun () -> [])
-    ?snapshot ?(resource = false) ?health ?serve ?emit k =
+    ?snapshot ?(resource = false) ?health k =
   let registry =
     if
       metrics || prom <> None || snapshot <> None || resource
-      || health <> None || serve <> None
+      || health <> None
     then Some (Obs.Metrics.create ())
     else None
   in
@@ -334,95 +327,6 @@ let with_obs ~meta ~trace ~metrics ?prom ?(prom_extra = fun () -> [])
       prerr_endline ("error: " ^ msg);
       exit 1
   in
-  (* --serve: expose the live registry over HTTP for the duration of
-     the run. The server thread reads the registry while the run
-     mutates it — scrapes see a mid-run state, which is the point. The
-     shutdown is registered with at_exit so the listening socket is
-     joined and unlinked even on the health-verdict exit paths. *)
-  (match serve with
-  | None -> ()
-  | Some addr -> (
-      let addr =
-        match Obs_http.addr_of_string addr with
-        | Ok a -> a
-        | Error msg ->
-            prerr_endline ("error: " ^ msg);
-            exit 2
-      in
-      let source =
-        {
-          Obs_http.metrics =
-            (fun () ->
-              match registry with
-              | Some m -> Obs_export.prometheus m @ prom_extra ()
-              | None -> []);
-          health =
-            (fun () ->
-              match (health_rules, registry) with
-              | Some rules, Some m ->
-                  let report =
-                    Obs_health.evaluate ~rules
-                      [ (None, Obs.Metrics.snapshot m) ]
-                  in
-                  let body =
-                    Format.asprintf "%a" Obs_health.pp_report report
-                  in
-                  if Obs_health.exit_code report = 0 then (200, body)
-                  else (503, body)
-              | _ -> (200, "ok\n"));
-          runs =
-            (fun () ->
-              if not (Sys.file_exists Obs_store.default_root) then
-                Ok (Jsonx.List [])
-              else
-                Result.bind (Obs_store.open_store ()) (fun s ->
-                    Result.map Obs_store.index_to_json (Obs_store.ls s)));
-        }
-      in
-      match Obs_http.serve_in_background ~addr source with
-      | Error msg ->
-          prerr_endline ("error: " ^ msg);
-          exit 1
-      | Ok srv ->
-          at_exit (fun () -> Obs_http.shutdown srv);
-          Format.printf "serving on %a@." Obs_http.pp_addr
-            (Obs_http.address srv)));
-  (* --emit: a remote sink streaming to a live collector. Closing
-     flushes the ring and sends BYE; it is hooked on at_exit (not a
-     Fun.protect) because the health-verdict paths below leave through
-     [exit], which does not unwind the stack. *)
-  let remote =
-    match emit with
-    | None -> None
-    | Some addr_s ->
-        let addr =
-          match Obs_http.addr_of_string addr_s with
-          | Ok a -> a
-          | Error msg ->
-              prerr_endline ("error: " ^ msg);
-              exit 2
-        in
-        Some (addr_s, Obs_remote.create ~addr ~meta:(meta ()) ())
-  in
-  let remote_reported = ref false in
-  let close_remote () =
-    match remote with
-    | None -> ()
-    | Some (addr_s, r) ->
-        Obs_remote.close r;
-        if not !remote_reported then begin
-          remote_reported := true;
-          let s = Obs_remote.stats r in
-          Format.printf "streamed %d event(s) to %s (%d dropped)@."
-            s.Obs_remote.sent addr_s s.Obs_remote.dropped
-        end
-  in
-  (match remote with Some _ -> at_exit close_remote | None -> ());
-  let sink_of local =
-    match remote with
-    | None -> local
-    | Some (_, r) -> Obs.Sink.tee [ local; Obs_remote.sink r ]
-  in
   let finish obs =
     k obs snap res;
     (match Obs.metrics obs with
@@ -456,16 +360,15 @@ let with_obs ~meta ~trace ~metrics ?prom ?(prom_extra = fun () -> [])
         if code <> 0 then exit code
     | _ -> ()
   in
-  (match trace with
-  | None -> finish (Obs.create ~sink:(sink_of Obs.Sink.Null) ?metrics:registry ())
+  match trace with
+  | None -> finish (Obs.create ?metrics:registry ())
   | Some path -> (
       try
         Obs.Sink.with_jsonl_file ~meta:(meta ()) path (fun sink ->
-            finish (Obs.create ~sink:(sink_of sink) ?metrics:registry ()))
+            finish (Obs.create ~sink ?metrics:registry ()))
       with Sys_error msg ->
         prerr_endline ("error: " ^ msg);
-        exit 1));
-  close_remote ()
+        exit 1)
 
 (* ------------------------------------------------------------------ *)
 (* schedule                                                            *)
@@ -586,7 +489,7 @@ let simulate_cmd =
              on a warn verdict, 2 on critical.")
   in
   let run spec c trials seed jobs trace metrics prom snapshot_every
-      snapshot_out resource health serve emit plan_cache plan_table =
+      snapshot_out resource health plan_cache plan_table =
     let meta () =
       Obs.Meta.make ~seed:(Int64.of_int seed) ~jobs
         ~scenario:
@@ -601,7 +504,7 @@ let simulate_cmd =
     with_family spec (fun lf ->
         with_obs ~meta ~trace ~metrics ?prom
           ~prom_extra:(fun () -> !extra)
-          ?snapshot ~resource ?health ?serve ?emit
+          ?snapshot ~resource ?health
           (fun obs snap res ->
             with_jobs jobs (fun pool ->
             let plan =
@@ -640,8 +543,8 @@ let simulate_cmd =
     Term.(
       const run $ family_term $ c_term $ trials $ seed $ jobs_term
       $ trace_term $ metrics_term $ prom_term $ snapshot_every_term
-      $ snapshot_out_term $ resource_term $ health_term $ serve_term
-      $ emit_term $ plan_cache_term $ plan_table_term)
+      $ snapshot_out_term $ resource_term $ health_term $ plan_cache_term
+      $ plan_table_term)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)

@@ -7,10 +7,7 @@
      cstrace flame    profile_trace.json -o profile.folded
      cstrace prom     trace.jsonl [-o FILE]
      cstrace timeline snapshots.jsonl --metric NAME
-     cstrace store    add|ls|rm|gc [--root DIR]
-     cstrace serve    --addr ADDR [--snapshots F|--trace F] [--once]
-     cstrace fetch    ADDR [PATH] [--validate-prom]
-     cstrace collect  --listen ADDR [--http ADDR] [--once] [--store DIR]
+     cstrace check    trace-or-snapshots.jsonl --rules FILE [--rule R]
 
    [report] filters and summarises one JSONL event trace; [diff]
    compares two runs event-by-event and pinpoints the first divergence
@@ -18,10 +15,8 @@
    [flame] folds a Chrome span profile into flamegraph.pl/speedscope
    input; [prom] reconstructs deterministic trace.* metrics from the
    events and renders Prometheus text exposition; [timeline] plots one
-   metric's trajectory from a --snapshot-every capture file; [store]
-   files artifacts in the content-addressed .csobs registry; [serve]
-   exposes /metrics, /health and /runs over HTTP; [fetch] is the
-   matching one-shot scrape client.
+   metric's trajectory from a --snapshot-every capture file; [check]
+   evaluates health rules against a finished trace or snapshot ring.
 
    Exit codes: 0 success (and "traces are identical" for diff), 1 data
    error or divergence, 2 usage error (including a refused
@@ -110,11 +105,6 @@ let report_cmd =
         Format.printf "meta          : %a@." Obs.Meta.pp
           { m with Obs.Meta.git_sha = None }
     | None -> ());
-    (match t.Obs_query.truncated with
-    | Some n ->
-        Format.printf
-          "truncated     : stream ended without BYE after %d event(s)@." n
-    | None -> ());
     let events =
       Obs_query.filter ?kind ?ws ?ep ?since ?until t.Obs_query.events
     in
@@ -165,16 +155,6 @@ let diff_cmd =
              sa sb);
         exit 2
     | _ -> ());
-    List.iter
-      (fun (name, (t : Obs_query.trace)) ->
-        match t.Obs_query.truncated with
-        | Some n ->
-            Format.eprintf
-              "note: %s is truncated (%d event(s) before the producer \
-               vanished); a divergence may just be the missing tail@."
-              name n
-        | None -> ())
-      [ (left, a); (right, b) ];
     match Obs_query.diff ~context a.Obs_query.events b.Obs_query.events with
     | None ->
         Format.printf "traces are identical (%d events)@."
@@ -513,649 +493,11 @@ let check_cmd =
     Term.(const run $ data $ rules_file $ rule_flags $ json)
 
 (* ------------------------------------------------------------------ *)
-(* watch                                                               *)
-
-let watch_cmd =
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"FILE" ~doc:"Health rules file to evaluate live.")
-  in
-  let rule_flags =
-    Arg.(
-      value & opt_all string []
-      & info [ "rule" ] ~docv:"RULE" ~doc:"Inline rule; repeatable.")
-  in
-  let interval =
-    Arg.(
-      value & opt float 0.5
-      & info [ "interval" ] ~docv:"SECONDS"
-          ~doc:"Poll cadence while the trace is still growing.")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:
-            "Poll once, render once, exit — the deterministic mode for \
-             scripts and tests.")
-  in
-  let data =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TRACE"
-          ~doc:
-            "JSONL event trace being written by a live run (need not exist \
-             yet; it is tailed as it grows).")
-  in
-  let run data rules_file rule_flags interval once =
-    let rules =
-      if rules_file = None && rule_flags = [] then []
-      else gather_rules rules_file rule_flags
-    in
-    let w = Obs_watch.create ~path:data () in
-    let render () =
-      let frame = Obs_watch.render ~rules w in
-      if not once then print_string "\027[2J\027[H";
-      print_string frame;
-      flush stdout
-    in
-    let rec loop () =
-      ignore (Obs_watch.poll w);
-      render ();
-      if once || Obs_watch.finished w then ()
-      else begin
-        Unix.sleepf (Float.max 0.01 interval);
-        loop ()
-      end
-    in
-    loop ();
-    if rules = [] then exit 0
-    else exit (Obs_health.exit_code (Obs_watch.health w ~rules))
-  in
-  Cmd.v
-    (Cmd.info "watch"
-       ~doc:
-         "Tail a growing JSONL trace and re-render a live metrics + health \
-          dashboard; exits with the final health verdict (0/1/2) once the \
-          run finishes."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "The dashboard shows the deterministic trace.* metrics \
-              reconstructed incrementally from the event stream, plus the \
-              rule verdicts when --rules/--rule are given. Polling is \
-              byte-offset based: partial lines are carried, malformed \
-              lines are counted but never fatal, and a vanished file \
-              simply reads as no new bytes — the loop a farm daemon's \
-              monitor inherits.";
-         ])
-    Term.(const run $ data $ rules_file $ rule_flags $ interval $ once)
-
-(* ------------------------------------------------------------------ *)
-(* store                                                               *)
-
-let root_term =
-  Arg.(
-    value
-    & opt string Obs_store.default_root
-    & info [ "root" ] ~docv:"DIR"
-        ~doc:"Observability store directory (default $(b,.csobs)).")
-
-let open_store_or_die root =
-  match Obs_store.open_store ~root () with
-  | Ok t -> t
-  | Error msg -> die_data msg
-
-let kind_conv =
-  Arg.conv
-    ( (fun s ->
-        Result.map_error (fun e -> `Msg e) (Obs_store.kind_of_string s)),
-      fun ppf k ->
-        Format.pp_print_string ppf (Obs_store.kind_to_string k) )
-
-let describe_record (r : Obs_store.record) =
-  String.concat "  "
-    (List.filter_map Fun.id
-       [
-         Option.map (fun s -> "sha " ^ s) r.Obs_store.git_sha;
-         Option.map (Printf.sprintf "seed %Ld") r.Obs_store.seed;
-         Option.map (Printf.sprintf "scenario %S") r.Obs_store.scenario;
-       ])
-
-let store_add_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Artifact to file: a JSONL event trace, a snapshot-ring \
-             JSONL, or a bench record.")
-  in
-  let kind =
-    Arg.(
-      value
-      & opt kind_conv Obs_store.Trace
-      & info [ "kind" ] ~docv:"KIND"
-          ~doc:"Artifact kind: $(b,trace), $(b,snapshots) or $(b,bench).")
-  in
-  let git_sha =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "git-sha" ] ~docv:"SHA"
-          ~doc:
-            "Provenance override for artifacts without an embedded meta \
-             header (bench records).")
-  in
-  let seed =
-    Arg.(
-      value
-      & opt (some int64) None
-      & info [ "seed" ] ~docv:"N" ~doc:"Provenance seed override.")
-  in
-  let scenario =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenario" ] ~docv:"STR" ~doc:"Provenance scenario override.")
-  in
-  let run root kind file git_sha seed scenario =
-    let store = open_store_or_die root in
-    let meta =
-      (* Only synthesize a header when the caller overrode provenance;
-         otherwise the artifact's own header is authoritative (and its
-         absence is a refusal, not a guess). *)
-      if git_sha = None && seed = None && scenario = None then None
-      else
-        Some
-          (Obs.Meta.make
-             ~git_sha:(Option.value git_sha ~default:"-")
-             ?seed ?scenario ())
-    in
-    match Obs_store.add store ?meta ~kind file with
-    | Error msg -> die_data msg
-    | Ok r ->
-        Format.printf "stored %s as run %s (%s)@."
-          (Obs_store.kind_to_string r.Obs_store.kind)
-          r.Obs_store.id
-          (Obs_store.artifact_path store r)
-  in
-  Cmd.v
-    (Cmd.info "add"
-       ~doc:
-         "File an artifact under its run id (derived from the \
-          provenance header: same sha+seed+scenario, same id).")
-    Term.(const run $ root_term $ kind $ file $ git_sha $ seed $ scenario)
-
-let store_ls_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the index as one JSON array.")
-  in
-  let run root json =
-    let store = open_store_or_die root in
-    match Obs_store.ls store with
-    | Error msg -> die_data msg
-    | Ok records ->
-        if json then
-          print_endline (Jsonx.to_string (Obs_store.index_to_json records))
-        else if records = [] then print_endline "store is empty"
-        else
-          List.iter
-            (fun (r : Obs_store.record) ->
-              Format.printf "%s  %-9s  %s@." r.Obs_store.id
-                (Obs_store.kind_to_string r.Obs_store.kind)
-                (describe_record r))
-            records
-  in
-  Cmd.v
-    (Cmd.info "ls" ~doc:"List the live records of the store.")
-    Term.(const run $ root_term $ json)
-
-let store_rm_cmd =
-  let id =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"RUN_ID" ~doc:"Run id to remove.")
-  in
-  let run root id =
-    let store = open_store_or_die root in
-    match Obs_store.rm store ~id with
-    | Error msg -> die_data msg
-    | Ok 0 -> Format.printf "run %s not in store@." id
-    | Ok n -> Format.printf "removed run %s (%d artifact(s))@." id n
-  in
-  Cmd.v
-    (Cmd.info "rm"
-       ~doc:
-         "Remove a run: tombstone its index records and delete its \
-          artifacts (idempotent).")
-    Term.(const run $ root_term $ id)
-
-let store_gc_cmd =
-  let keep =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "keep" ] ~docv:"N"
-          ~doc:"Retain only the $(docv) most recently added runs.")
-  in
-  let max_age =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-age" ] ~docv:"SECONDS"
-          ~doc:
-            "Remove runs whose newest artifact lags the store's newest \
-             mtime by more than $(docv) seconds.")
-  in
-  let run root keep max_age =
-    let store = open_store_or_die root in
-    match Obs_store.gc store ?keep ?max_age_s:max_age () with
-    | Error msg -> die_data msg
-    | Ok [] -> print_endline "nothing to remove"
-    | Ok ids ->
-        List.iter (fun id -> Format.printf "removed run %s@." id) ids
-  in
-  Cmd.v
-    (Cmd.info "gc"
-       ~doc:
-         "Retention sweep: drop runs beyond a count or age bound \
-          (age is relative to the store's own newest artifact, never \
-          the wall clock).")
-    Term.(const run $ root_term $ keep $ max_age)
-
-let store_cmd =
-  Cmd.group
-    (Cmd.info "store"
-       ~doc:
-         "The content-addressed run registry (.csobs): file, list, \
-          remove and garbage-collect run artifacts.")
-    [ store_add_cmd; store_ls_cmd; store_rm_cmd; store_gc_cmd ]
-
-(* ------------------------------------------------------------------ *)
-(* serve / fetch                                                       *)
-
-let addr_of_string_or_die s =
-  match Obs_http.addr_of_string s with
-  | Ok a -> a
-  | Error msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 2
-
-(* The three endpoint thunks re-read their files per request, so a
-   scrape of a still-running csctl sees the latest flushed state. *)
-let http_source ~snapshots ~trace ~rules ~root () =
-  let frames () =
-    match (snapshots, trace) with
-    | Some path, _ ->
-        Result.map
-          (List.map (fun (e : Obs_snapshot.entry) ->
-               (Some e.Obs_snapshot.at, e.Obs_snapshot.metrics)))
-          (Obs_snapshot.load path)
-    | None, Some path ->
-        Result.map
-          (fun (t : Obs_query.trace) ->
-            [
-              ( None,
-                Obs.Metrics.snapshot
-                  (Obs_query.metrics_of_events t.Obs_query.events) );
-            ])
-          (Obs_query.load path)
-    | None, None -> Ok []
-  in
-  {
-    Obs_http.metrics =
-      (fun () ->
-        match frames () with
-        | Ok [] -> []
-        | Ok fs ->
-            let _, last = List.nth fs (List.length fs - 1) in
-            Obs_export.prometheus_of_snapshot last
-        | Error msg ->
-            (* Not valid exposition, deliberately: the validator in the
-               handler turns an unreadable source into a loud 500. *)
-            [ "unreadable metrics source: " ^ msg ]);
-    health =
-      (fun () ->
-        match frames () with
-        | Error msg -> (503, "error: " ^ msg ^ "\n")
-        | Ok fs ->
-            if rules = [] then (200, "ok\n")
-            else
-              let report = Obs_health.evaluate ~rules fs in
-              let body =
-                Format.asprintf "%a" Obs_health.pp_report report
-              in
-              if Obs_health.exit_code report = 0 then (200, body)
-              else (503, body));
-    runs =
-      (fun () ->
-        if not (Sys.file_exists root) then Ok (Jsonx.List [])
-        else
-          Result.bind (Obs_store.open_store ~root ()) (fun store ->
-              Result.map Obs_store.index_to_json (Obs_store.ls store)));
-  }
-
-let serve_cmd =
-  let addr =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "addr" ] ~docv:"ADDR"
-          ~doc:
-            "Where to listen: $(b,unix:PATH) for a Unix-domain socket \
-             or $(b,HOST:PORT) for TCP (port 0 picks one).")
-  in
-  let snapshots =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "snapshots" ] ~docv:"FILE"
-          ~doc:
-            "Snapshot-ring JSONL backing /metrics and /health (the \
-             newest frame is the current state).")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "JSONL event trace backing /metrics and /health via the \
-             reconstructed trace.* registry.")
-  in
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"FILE"
-          ~doc:"Health rules file backing /health.")
-  in
-  let rule_flags =
-    Arg.(
-      value & opt_all string []
-      & info [ "rule" ] ~docv:"RULE" ~doc:"Inline health rule; repeatable.")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:
-            "Answer exactly one request and exit — the deterministic \
-             mode for tests and smoke probes.")
-  in
-  let requests =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"Answer $(docv) requests, then exit.")
-  in
-  let addr_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "addr-file" ] ~docv:"FILE"
-          ~doc:
-            "Write the bound address here once listening — lets a \
-             script poll for readiness instead of racing the bind.")
-  in
-  let run addr snapshots trace rules_file rule_flags root once requests
-      addr_file =
-    let addr = addr_of_string_or_die addr in
-    let rules =
-      if rules_file = None && rule_flags = [] then []
-      else gather_rules rules_file rule_flags
-    in
-    let source = http_source ~snapshots ~trace ~rules ~root () in
-    let max_requests = if once then Some 1 else requests in
-    let ready bound =
-      (match addr_file with
-      | Some f ->
-          write_lines f [ Format.asprintf "%a" Obs_http.pp_addr bound ]
-      | None -> ());
-      Format.printf "serving on %a@." Obs_http.pp_addr bound;
-      Format.pp_print_flush Format.std_formatter ()
-    in
-    match Obs_http.serve ?max_requests ~ready ~addr source with
-    | Ok () -> ()
-    | Error msg -> die_data msg
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Expose /metrics (validated Prometheus text), /health (SLO \
-          verdict, 200/503) and /runs (store index) over HTTP."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "One request per connection, bodies framed by \
-              Content-Length — the smallest surface a standard scraper \
-              accepts. Sources are re-read per request, so serving the \
-              artifacts of a still-running csctl scrapes its latest \
-              flushed state. With $(b,--once) (or $(b,--requests) N) \
-              the server exits after a bounded number of answers, \
-              which is what the CI smoke leg and the cram tests use.";
-         ])
-    Term.(
-      const run $ addr $ snapshots $ trace $ rules_file $ rule_flags
-      $ root_term $ once $ requests $ addr_file)
-
-let fetch_cmd =
-  let addr =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ADDR" ~doc:"Server address (unix:PATH or HOST:PORT).")
-  in
-  let path =
-    Arg.(
-      value
-      & pos 1 string "/metrics"
-      & info [] ~docv:"PATH" ~doc:"Path to request (default /metrics).")
-  in
-  let validate =
-    Arg.(
-      value & flag
-      & info [ "validate-prom" ]
-          ~doc:
-            "Instead of printing the body, pipe it through the \
-             Prometheus exposition validator and print the sample \
-             count.")
-  in
-  let attempts =
-    Arg.(
-      value & opt int 100
-      & info [ "attempts" ] ~docv:"N"
-          ~doc:
-            "Connect retries at 50 ms intervals while the server is \
-             still starting.")
-  in
-  let run addr path validate attempts =
-    let addr = addr_of_string_or_die addr in
-    match Obs_http.fetch ~attempts ~addr path with
-    | Error msg -> die_data msg
-    | Ok (status, body) ->
-        (if validate then begin
-           let lines =
-             List.filter
-               (fun l -> l <> "")
-               (String.split_on_char '\n' body)
-           in
-           match Obs_export.validate_prometheus lines with
-           | Ok n -> Format.printf "valid exposition: %d sample(s)@." n
-           | Error msg -> die_data ("invalid exposition: " ^ msg)
-         end
-         else print_string body);
-        if status >= 400 then begin
-          Format.eprintf "HTTP %d %s@." status
-            (Obs_http.status_reason status);
-          exit 1
-        end
-  in
-  Cmd.v
-    (Cmd.info "fetch"
-       ~doc:
-         "Minimal scrape client: GET a path from a running serve, \
-          print the body (exit 1 on any 4xx/5xx, so /health doubles \
-          as a probe).")
-    Term.(const run $ addr $ path $ validate $ attempts)
-
-(* ------------------------------------------------------------------ *)
-(* collect                                                             *)
-
-let collect_cmd =
-  let listen =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "listen" ] ~docv:"ADDR"
-          ~doc:
-            "Where producers connect: $(b,unix:PATH) or $(b,HOST:PORT) \
-             (port 0 picks one).")
-  in
-  let http =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "http" ] ~docv:"ADDR"
-          ~doc:
-            "Also serve /metrics (live aggregated registry), /health \
-             (503 while any alert fires) and /runs here.")
-  in
-  let producers =
-    Arg.(
-      value & opt int 1
-      & info [ "producers" ] ~docv:"N"
-          ~doc:"With $(b,--once): stop after $(docv) finalized streams.")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:
-            "Exit after the expected number of streams (see \
-             $(b,--producers)) has been finalized — the deterministic \
-             mode for tests and CI.")
-  in
-  let store_root =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:"File every collected trace in this .csobs registry.")
-  in
-  let out_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:
-            "Keep each stream's JSONL trace here as RUN_ID.jsonl \
-             (suffixed on collision).")
-  in
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"FILE"
-          ~doc:"Health rules evaluated live against the merged stream.")
-  in
-  let rule_flags =
-    Arg.(
-      value & opt_all string []
-      & info [ "rule" ] ~docv:"RULE" ~doc:"Inline health rule; repeatable.")
-  in
-  let alert_every =
-    Arg.(
-      value & opt int 64
-      & info [ "alert-every" ] ~docv:"N"
-          ~doc:
-            "Evaluate the rules every $(docv) accepted events (plus at \
-             every stream finalization).")
-  in
-  let addr_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "addr-file" ] ~docv:"FILE"
-          ~doc:
-            "Write the bound listen address here once accepting — lets \
-             a script poll for readiness instead of racing the bind.")
-  in
-  let run listen http producers once store_root out_dir rules_file rule_flags
-      alert_every addr_file =
-    let listen = addr_of_string_or_die listen in
-    let http = Option.map addr_of_string_or_die http in
-    (* Unlike `check`, alerting is optional: a collector with no rules
-       still merges traces and serves metrics. *)
-    let rules =
-      if rules_file = None && rule_flags = [] then []
-      else gather_rules rules_file rule_flags
-    in
-    (* Log lines come from per-connection threads; one mutex keeps
-       them whole. *)
-    let log_mu = Mutex.create () in
-    let log line =
-      Mutex.lock log_mu;
-      print_endline line;
-      flush stdout;
-      Mutex.unlock log_mu
-    in
-    let ready bound =
-      (match addr_file with
-      | Some f ->
-          write_lines f [ Format.asprintf "%a" Obs_http.pp_addr bound ]
-      | None -> ());
-      log (Format.asprintf "collecting on %a" Obs_http.pp_addr bound)
-    in
-    match
-      Obs_collect.run ?http ~producers ~once ?store_root ?out_dir ~rules
-        ~alert_every ~log ~ready ~listen ()
-    with
-    | Error msg -> die_data msg
-    | Ok summary -> Format.printf "%a@." Obs_collect.pp_summary summary
-  in
-  Cmd.v
-    (Cmd.info "collect"
-       ~doc:
-         "Run the streaming telemetry collector: accept csctl \
-          --emit producers, merge their event streams into stored \
-          JSONL traces, serve live aggregated /metrics, and raise \
-          streaming alerts."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Producers speak the length-prefixed Obs_stream frame \
-              protocol: HELLO carrying the run's provenance header, \
-              strictly sequenced events, heartbeats carrying drop \
-              counters, and BYE. Each stream is written back out as an \
-              ordinary JSONL trace — $(b,cstrace diff)-identical to \
-              the same run's locally written file — and filed in the \
-              $(b,--store) registry. A stream that ends without BYE is \
-              finalized with an explicit truncation marker instead of \
-              passing for a complete run.";
-         ])
-    Term.(
-      const run $ listen $ http $ producers $ once $ store_root $ out_dir
-      $ rules_file $ rule_flags $ alert_every $ addr_file)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let doc =
     "trace analytics for cycle-stealing runs: summarise, diff, flamegraph, \
-     export, health-check and live-watch the observability layer's artifacts"
+     export and health-check the observability layer's artifacts"
   in
   let info = Cmd.info "cstrace" ~version:"1.0.0" ~doc in
   exit
@@ -1168,9 +510,4 @@ let () =
             prom_cmd;
             timeline_cmd;
             check_cmd;
-            watch_cmd;
-            store_cmd;
-            serve_cmd;
-            fetch_cmd;
-            collect_cmd;
           ]))

@@ -42,10 +42,6 @@ val prometheus : ?namespace:string -> Obs_metrics.t -> string list
 (** Render a live registry ([namespace] defaults to ["cs"]). Lines are
     in name order within each instrument class. *)
 
-val prometheus_of_snapshot :
-  ?namespace:string -> Obs_metrics.snapshot -> string list
-(** Same, from a frozen {!Obs_metrics.snapshot}. *)
-
 val escape_label_value : string -> string
 (** Escape a string for use inside a label value per the text-format
     grammar: backslash, double-quote and newline become backslash

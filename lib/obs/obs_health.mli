@@ -5,8 +5,8 @@
     values: the single end-of-run snapshot of a live registry, every
     frame of a snapshot ring, or the synthetic registry
     {!Obs_query.metrics_of_events} builds from a finished trace. The
-    result is a typed verdict report that [cstrace check],
-    [cstrace watch] and [csctl --health] all share.
+    result is a typed verdict report that [cstrace check] and
+    [csctl --health] share.
 
     {2 Grammar}
 
@@ -88,7 +88,6 @@ val exit_code : report -> int
     failure — the [cstrace check] exit convention. *)
 
 val pp_op : Format.formatter -> op -> unit
-val pp_rule : Format.formatter -> rule -> unit
 
 val pp_report : Format.formatter -> report -> unit
 (** Deterministic human-readable listing, one rule per line

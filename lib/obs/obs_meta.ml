@@ -4,8 +4,6 @@ type t = {
   seed : int64 option;
   jobs : int option;
   scenario : string option;
-  run_id : string option;
-  parent_span : string option;
 }
 
 let meta_version = 1
@@ -20,7 +18,7 @@ let capture_git_sha () =
       | _ -> None
       | exception _ -> None)
 
-let make ?git_sha ?seed ?jobs ?scenario ?run_id ?parent_span () =
+let make ?git_sha ?seed ?jobs ?scenario () =
   let git_sha =
     match git_sha with Some _ as s -> s | None -> capture_git_sha ()
   in
@@ -30,8 +28,6 @@ let make ?git_sha ?seed ?jobs ?scenario ?run_id ?parent_span () =
     seed;
     jobs;
     scenario;
-    run_id;
-    parent_span;
   }
 
 let to_json t =
@@ -43,9 +39,7 @@ let to_json t =
     :: (opt "git_sha" (fun s -> Jsonx.String s) t.git_sha
        @ opt "seed" (fun s -> Jsonx.Int (Int64.to_int s)) t.seed
        @ opt "jobs" (fun j -> Jsonx.Int j) t.jobs
-       @ opt "scenario" (fun s -> Jsonx.String s) t.scenario
-       @ opt "run_id" (fun s -> Jsonx.String s) t.run_id
-       @ opt "parent_span" (fun s -> Jsonx.String s) t.parent_span))
+       @ opt "scenario" (fun s -> Jsonx.String s) t.scenario))
 
 let is_meta_json j =
   match Jsonx.member "type" j with
@@ -92,8 +86,6 @@ let of_json j =
         seed = Option.map Int64.of_int (int "seed");
         jobs = int "jobs";
         scenario = str "scenario";
-        run_id = str "run_id";
-        parent_span = str "parent_span";
       }
 
 let pp ppf t =
@@ -106,12 +98,6 @@ let pp ppf t =
   | None -> ());
   (match t.jobs with
   | Some j -> Format.fprintf ppf ", jobs %d" j
-  | None -> ());
-  (match t.run_id with
-  | Some id -> Format.fprintf ppf ", run %s" id
-  | None -> ());
-  (match t.parent_span with
-  | Some s -> Format.fprintf ppf ", parent %s" s
   | None -> ());
   match t.git_sha with
   | Some sha -> Format.fprintf ppf ", git %s" sha

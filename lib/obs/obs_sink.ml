@@ -15,12 +15,6 @@ let emit sink ev =
   | Console ppf -> Format.fprintf ppf "%a@." Obs_event.pp ev
   | Custom f -> f ev
 
-let tee sinks =
-  match List.filter consumes sinks with
-  | [] -> Null
-  | [ s ] -> s
-  | live -> Custom (fun ev -> List.iter (fun s -> emit s ev) live)
-
 let with_jsonl_file ?meta path k =
   let oc = open_out path in
   Fun.protect

@@ -22,14 +22,6 @@ val consumes : t -> bool
 
 val emit : t -> Obs_event.t -> unit
 
-val tee : t list -> t
-(** Fan one emit out to every sink in the list (in order). Sinks that
-    consume nothing are dropped up front: [tee []] and [tee [Null]]
-    are [Null] (so {!Obs.tracing} still reports [false]), and a
-    single live sink is returned as itself rather than wrapped. Used
-    by [csctl simulate --emit] to write the local JSONL trace and
-    stream to a collector from one instrumentation pass. *)
-
 val with_jsonl_file : ?meta:Obs_meta.t -> string -> (t -> 'a) -> 'a
 (** [with_jsonl_file path k] opens [path] for writing, runs [k] with a
     [Jsonl] sink over it, and closes the channel on return or

@@ -57,7 +57,9 @@ type t = {
 
 (* Run chunks of [job] until the claim counter is exhausted. Failures are
    recorded (never propagated out of a worker); completion of the last
-   chunk flips [current] back to [None] and wakes the caller. Busy time
+   chunk wakes the caller, which clears [current] itself: the caller may
+   see [j_left = 0] and return before this domain takes the mutex, so a
+   worker-side clear could land after the caller's next submission. Busy time
    and chunk counts go to this domain's private slot; the slot writes
    happen before this domain's final [j_left] decrement, so the caller's
    read of [j_left = 0] orders them. *)
@@ -79,7 +81,6 @@ let run_chunks t job ~dom =
       job.j_nchunks.(dom) <- job.j_nchunks.(dom) + 1;
       if Atomic.fetch_and_add job.j_left (-1) = 1 then begin
         Mutex.lock t.mutex;
-        t.current <- None;
         Condition.signal t.done_cv;
         Mutex.unlock t.mutex
       end;
@@ -230,6 +231,7 @@ let parallel_for t ~chunks fn =
     while Atomic.get job.j_left > 0 do
       Condition.wait t.done_cv t.mutex
     done;
+    t.current <- None;
     Mutex.unlock t.mutex;
     account t job;
     reraise_first_failure job

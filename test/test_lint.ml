@@ -209,43 +209,6 @@ let test_r9 () =
   check_rules "suppressed" []
     (lint "let s () = (Gc.quick_stat () [@lint.allow \"R9\"])\n")
 
-(* ---- R13: socket I/O outside the lib/obs transport modules ---- *)
-
-let test_r13 () =
-  check_rules "socket in lib" [ "R13" ]
-    (lint "let s () = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0\n");
-  check_rules "accept in bin" [ "R13" ]
-    (lint ~path:"bin/fixture.ml" "let a fd = Unix.accept fd\n");
-  check_rules "bind in bench" [ "R13" ]
-    (lint ~path:"bench/fixture.ml" "let b fd sa = Unix.bind fd sa\n");
-  check_rules "connect in lib" [ "R13" ]
-    (lint "let c fd sa = Unix.connect fd sa\n");
-  check_rules "obs_http exempt" []
-    (lint ~path:"lib/obs/obs_http.ml"
-       "let s () = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0\n");
-  check_rules "obs_stream exempt" []
-    (lint ~path:"lib/obs/obs_stream.ml"
-       "let s () = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0\n");
-  check_rules "obs_remote exempt" []
-    (lint ~path:"lib/obs/obs_remote.ml"
-       "let c fd sa = Unix.connect fd sa\n");
-  check_rules "obs_collect exempt" []
-    (lint ~path:"lib/obs/obs_collect.ml" "let a fd = Unix.accept fd\n");
-  (* Only the four transport modules are exempt, not all of lib/obs. *)
-  check_rules "other obs module still fenced" [ "R13" ]
-    (lint ~path:"lib/obs/obs_sink.ml"
-       "let s () = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0\n");
-  (* The rest of Unix stays available — only the socket surface is
-     fenced, and a bare [shutdown] is not Unix.shutdown. *)
-  check_rules "Unix.read fine" []
-    (lint "let r fd b = Unix.read fd b 0 1\n");
-  check_rules "local shutdown fine" []
-    (lint "let shutdown () = ()\nlet s = shutdown ()\n");
-  check_rules "suppressed" []
-    (lint
-       "let s () = (Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0) \
-        [@lint.allow \"R13\"]\n")
-
 (* ---- R14: memo/cache state confined to lib/plancache ---- *)
 
 let test_r14 () =
@@ -585,7 +548,7 @@ let test_rule_metadata_complete () =
     "rule ids"
     [
       "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "R11";
-      "R12"; "R13"; "R14"; "M1";
+      "R12"; "R14"; "M1";
     ]
     (List.map (fun (m : Lint_rules.meta) -> m.id) Lint_rules.all_meta)
 
@@ -618,7 +581,6 @@ let () =
       ("r7", [ Alcotest.test_case "raw Domain.spawn" `Quick test_r7 ]);
       ("r8", [ Alcotest.test_case "wall-clock reads" `Quick test_r8 ]);
       ("r9", [ Alcotest.test_case "direct Gc stats" `Quick test_r9 ]);
-      ("r13", [ Alcotest.test_case "socket I/O fence" `Quick test_r13 ]);
       ("r14", [ Alcotest.test_case "memo state fence" `Quick test_r14 ]);
       ("m1", [ Alcotest.test_case "unused allows" `Quick test_m1_unused_allow ]);
       ( "deep",

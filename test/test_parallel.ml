@@ -45,7 +45,17 @@ let test_pool_reuse () =
       in
       Alcotest.(check int) "first use" 1225 (total ());
       Alcotest.(check int) "second use" 1225 (total ());
-      Alcotest.(check int) "third use" 1225 (total ()))
+      Alcotest.(check int) "third use" 1225 (total ());
+      (* Back-to-back jobs: the next submission must never see the
+         previous job still marked in flight, even when a worker rather
+         than the caller finishes the last chunk. *)
+      let sink = Atomic.make 0 in
+      for _ = 1 to 2_000 do
+        Domain_pool.parallel_for p ~chunks:4 (fun i ->
+            for k = 1 to 200 * (i + 1) do
+              ignore (Atomic.fetch_and_add sink k)
+            done)
+      done)
 
 exception Chunk_failed of int
 
@@ -74,10 +84,12 @@ let test_shutdown () =
       Domain_pool.parallel_for p ~chunks:1 ignore)
 
 let test_run_front_end () =
+  (* Chunks run on several domains at once, so the accumulator must be
+     atomic: a plain ref loses updates to the data race. *)
   let sum chunks f =
-    let acc = ref 0 in
-    f ~chunks (fun i -> acc := !acc + i);
-    !acc
+    let acc = Atomic.make 0 in
+    f ~chunks (fun i -> ignore (Atomic.fetch_and_add acc i));
+    Atomic.get acc
   in
   let serial = sum 100 (fun ~chunks f -> Domain_pool.run ~chunks f) in
   let via_domains =

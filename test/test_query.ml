@@ -119,9 +119,27 @@ let test_load_headerless_and_bad_header () =
       | Error msg ->
           Alcotest.(check bool) "error names line 1" true
             (contains_sub msg ":1:"));
-      match Trace_report.load path with
+      (match Trace_report.load path with
       | Ok _ -> Alcotest.fail "Trace_report accepted wrong-schema header"
-      | Error _ -> ())
+      | Error _ -> ());
+      (* A trailing truncation marker is not an event: both loaders
+         refuse it and name its line. *)
+      let lines =
+        event_lines sample_events
+        @ [ {|{"v":1,"type":"truncated","events":3}|} ]
+      in
+      write_file path lines;
+      let at_marker = Printf.sprintf ":%d:" (List.length lines) in
+      (match Obs_query.load path with
+      | Ok _ -> Alcotest.fail "Obs_query accepted a truncation marker"
+      | Error msg ->
+          Alcotest.(check bool) "Obs_query names the marker line" true
+            (contains_sub msg at_marker));
+      match Trace_report.load path with
+      | Ok _ -> Alcotest.fail "Trace_report accepted a truncation marker"
+      | Error msg ->
+          Alcotest.(check bool) "Trace_report names the marker line" true
+            (contains_sub msg at_marker))
 
 (* ------------------------------------------------------------------ *)
 (* Filtering and episode rows                                         *)
@@ -355,6 +373,49 @@ let test_snapshot_jsonl_roundtrip () =
       Alcotest.(check bool) "round-trips structurally" true
         (entries = Obs_snapshot.entries snap))
 
+let test_snapshot_shard_headers () =
+  let reg = Obs_metrics.create () in
+  let c = Obs_metrics.counter reg "n" in
+  let snap = Obs_snapshot.create ~capacity:2 ~every:1 reg in
+  List.iter
+    (fun at ->
+      Obs_metrics.incr c;
+      Obs_snapshot.tick snap ~at)
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "ring wrapped" 1 (Obs_snapshot.dropped snap);
+  let m = Obs_meta.make ~git_sha:"abcd" ~seed:9L ~scenario:"shard" () in
+  let count_metas path =
+    In_channel.(with_open_bin path input_all)
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> contains_sub l "\"type\":\"meta\"")
+    |> List.length
+  in
+  let write path snap =
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> Obs_snapshot.write_jsonl ~meta:m snap oc)
+  in
+  with_temp_file ".jsonl" (fun path ->
+      write path snap;
+      (* A wrapped ring re-emits the header at the rotation boundary, so
+         splitting the file there yields two self-describing shards. *)
+      Alcotest.(check int) "header emitted at start and at the wrap" 2
+        (count_metas path);
+      let hdr, entries = ok (Obs_snapshot.load_with_meta path) in
+      Alcotest.(check bool) "first header surfaced" true (hdr = Some m);
+      Alcotest.(check bool) "entries survive the duplicated header" true
+        (entries = Obs_snapshot.entries snap);
+      Alcotest.(check bool) "load strips headers" true
+        (ok (Obs_snapshot.load path) = entries));
+  (* An unwrapped ring writes exactly one header. *)
+  let snap2 = Obs_snapshot.create ~capacity:8 ~every:1 reg in
+  Obs_snapshot.tick snap2 ~at:1;
+  with_temp_file ".jsonl" (fun path ->
+      write path snap2;
+      Alcotest.(check int) "single header when nothing was dropped" 1
+        (count_metas path))
+
 let test_snapshot_determinism_across_domains () =
   let lf = Families.uniform ~lifespan:30.0 in
   let plan = Guideline.plan lf ~c:1.0 in
@@ -498,6 +559,11 @@ let () =
             test_snapshot_jsonl_roundtrip;
           Alcotest.test_case "deterministic across domains" `Quick
             test_snapshot_determinism_across_domains;
+        ] );
+      ( "shards",
+        [
+          Alcotest.test_case "meta header re-emitted on wrap" `Quick
+            test_snapshot_shard_headers;
         ] );
       ( "fork",
         [

@@ -1,29 +1,6 @@
-(* Cross-run trend analytics (Obs_trend): trajectory extraction from a
+(* Cross-run trend analytics (Bench_trend): trajectory extraction from a
    bench history, the with-intercept slope fit and its advisory-point
-   exclusions, jump detection, and attribution back through an Obs_store
-   to the first diverging trace event. *)
-
-let ok = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
-
-let contains_sub hay needle =
-  let hl = String.length hay and nl = String.length needle in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let with_temp_dir k =
-  let path = Filename.temp_file "cs_trend" "" in
-  Sys.remove path;
-  Sys.mkdir path 0o755;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm path) (fun () -> k path)
+   exclusions, and jump detection. *)
 
 let entry ?(advisory = false) ns r2 =
   { Bench_record.ns_per_call = ns; r_square = r2; advisory }
@@ -53,7 +30,7 @@ let test_metrics_of () =
   in
   Alcotest.(check (list string)) "sorted, deduplicated"
     [ "alpha"; "beta"; "gamma" ]
-    (Obs_trend.metrics_of records)
+    (Bench_trend.metrics_of records)
 
 let test_trajectory_alignment () =
   (* Record 2 does not carry the metric: it contributes no point but
@@ -66,32 +43,32 @@ let test_trajectory_alignment () =
       record ~sha:"s3" ~t:13.0 [ ("m", entry ~advisory:true 9.9 (-2.0)) ];
     ]
   in
-  let tr = Obs_trend.trajectory ~metric:"m" records in
+  let tr = Bench_trend.trajectory ~metric:"m" records in
   Alcotest.(check (list int)) "seq skips the silent record" [ 0; 1; 3 ]
-    (List.map (fun p -> p.Obs_trend.seq) tr.Obs_trend.points);
-  let p0 = List.hd tr.Obs_trend.points in
-  Alcotest.(check string) "sha surfaced" "s0" p0.Obs_trend.git_sha;
-  Alcotest.(check (float 1e-12)) "time surfaced" 10.0 p0.Obs_trend.unix_time;
+    (List.map (fun p -> p.Bench_trend.seq) tr.Bench_trend.points);
+  let p0 = List.hd tr.Bench_trend.points in
+  Alcotest.(check string) "sha surfaced" "s0" p0.Bench_trend.git_sha;
+  Alcotest.(check (float 1e-12)) "time surfaced" 10.0 p0.Bench_trend.unix_time;
   Alcotest.(check bool) "advisory flag surfaced" true
-    (List.exists (fun p -> p.Obs_trend.advisory) tr.Obs_trend.points)
+    (List.exists (fun p -> p.Bench_trend.advisory) tr.Bench_trend.points)
 
 (* ------------------------------------------------------------------ *)
 (* Slope fits                                                          *)
 
 let test_slope_fit_guards () =
-  Alcotest.(check bool) "empty" true (Obs_trend.slope_fit [] = None);
+  Alcotest.(check bool) "empty" true (Bench_trend.slope_fit [] = None);
   Alcotest.(check bool) "single point" true
-    (Obs_trend.slope_fit [ (0.0, 1.0) ] = None);
+    (Bench_trend.slope_fit [ (0.0, 1.0) ] = None);
   (* Two points fit a slope but r² stays nan below min_samples — the
      same reporting discipline as Bench_fit. *)
-  (match Obs_trend.slope_fit [ (0.0, 3.0); (1.0, 5.0) ] with
+  (match Bench_trend.slope_fit [ (0.0, 3.0); (1.0, 5.0) ] with
   | None -> Alcotest.fail "two points should fit"
   | Some f ->
       Alcotest.(check (float 1e-9)) "slope" 2.0 f.Bench_fit.ns_per_run;
       Alcotest.(check bool) "r2 withheld" true
         (Float.is_nan f.Bench_fit.r_square));
   (* Zero x-variance cannot support a slope. *)
-  match Obs_trend.slope_fit [ (1.0, 3.0); (1.0, 5.0) ] with
+  match Bench_trend.slope_fit [ (1.0, 3.0); (1.0, 5.0) ] with
   | None -> Alcotest.fail "degenerate input still returns a fit record"
   | Some f ->
       Alcotest.(check bool) "slope nan at zero x-variance" true
@@ -101,7 +78,7 @@ let test_slope_fit_with_intercept () =
   (* y = 100 + 2x: a through-origin fit would be badly biased by the
      arbitrary baseline; the intercept form recovers the drift. *)
   let pairs = List.init 5 (fun i -> (float_of_int i, 100.0 +. (2.0 *. float_of_int i))) in
-  match Obs_trend.slope_fit pairs with
+  match Bench_trend.slope_fit pairs with
   | None -> Alcotest.fail "no fit"
   | Some f ->
       Alcotest.(check (float 1e-9)) "slope is the drift" 2.0
@@ -119,8 +96,8 @@ let test_trajectory_fit_excludes_advisory () =
       entry 18.0 0.99;
     ]
   in
-  let tr = Obs_trend.trajectory ~metric:"m" (history values) in
-  (match tr.Obs_trend.fit with
+  let tr = Bench_trend.trajectory ~metric:"m" (history values) in
+  (match tr.Bench_trend.fit with
   | None -> Alcotest.fail "usable points should fit"
   | Some f ->
       Alcotest.(check int) "advisory excluded from kept" 4 f.Bench_fit.kept;
@@ -129,164 +106,57 @@ let test_trajectory_fit_excludes_advisory () =
         f.Bench_fit.ns_per_run);
   (* Fewer than two usable points: no fit at all. *)
   let tr' =
-    Obs_trend.trajectory ~metric:"m"
+    Bench_trend.trajectory ~metric:"m"
       (history [ entry 10.0 0.9; entry ~advisory:true 20.0 Float.nan ])
   in
   Alcotest.(check bool) "one usable point, no fit" true
-    (tr'.Obs_trend.fit = None)
+    (tr'.Bench_trend.fit = None)
 
 (* ------------------------------------------------------------------ *)
 (* Jumps                                                               *)
 
 let test_first_jump () =
-  let tr values = Obs_trend.trajectory ~metric:"m" (history values) in
+  let tr values = Bench_trend.trajectory ~metric:"m" (history values) in
   Alcotest.(check bool) "flat trajectory, no jump" true
-    (Obs_trend.first_jump (tr [ entry 10.0 1.0; entry 11.0 1.0; entry 10.5 1.0 ])
+    (Bench_trend.first_jump (tr [ entry 10.0 1.0; entry 11.0 1.0; entry 10.5 1.0 ])
     = None);
   (match
-     Obs_trend.first_jump
+     Bench_trend.first_jump
        (tr [ entry 10.0 1.0; entry 10.5 1.0; entry 14.0 1.0; entry 30.0 1.0 ])
    with
   | None -> Alcotest.fail "missed the jump"
   | Some j ->
-      Alcotest.(check int) "first trip wins" 1 j.Obs_trend.j_from.Obs_trend.seq;
-      Alcotest.(check int) "to the next point" 2 j.Obs_trend.j_to.Obs_trend.seq;
-      Alcotest.(check (float 1e-9)) "ratio" (14.0 /. 10.5) j.Obs_trend.j_ratio);
+      Alcotest.(check int) "first trip wins" 1 j.Bench_trend.j_from.Bench_trend.seq;
+      Alcotest.(check int) "to the next point" 2 j.Bench_trend.j_to.Bench_trend.seq;
+      Alcotest.(check (float 1e-9)) "ratio" (14.0 /. 10.5) j.Bench_trend.j_ratio);
   (* Improvements trip the band too — a 2x speedup is as attributable
      as a 2x regression. *)
-  (match Obs_trend.first_jump (tr [ entry 10.0 1.0; entry 5.0 1.0 ]) with
+  (match Bench_trend.first_jump (tr [ entry 10.0 1.0; entry 5.0 1.0 ]) with
   | None -> Alcotest.fail "missed the downward jump"
-  | Some j -> Alcotest.(check (float 1e-9)) "ratio below band" 0.5 j.Obs_trend.j_ratio);
+  | Some j -> Alcotest.(check (float 1e-9)) "ratio below band" 0.5 j.Bench_trend.j_ratio);
   (* Advisory points are invisible to jump detection: the comparison is
      between the measured neighbors around them. *)
   (match
-     Obs_trend.first_jump
+     Bench_trend.first_jump
        (tr [ entry 10.0 1.0; entry ~advisory:true 100.0 Float.nan; entry 10.5 1.0 ])
    with
   | None -> ()
   | Some _ -> Alcotest.fail "advisory point manufactured a jump");
   (match
-     Obs_trend.first_jump
+     Bench_trend.first_jump
        (tr [ entry 10.0 1.0; entry ~advisory:true 1.0 Float.nan; entry 14.0 1.0 ])
    with
   | None -> Alcotest.fail "advisory point hid a jump"
   | Some j ->
       Alcotest.(check int) "jump spans the advisory gap" 2
-        j.Obs_trend.j_to.Obs_trend.seq);
+        j.Bench_trend.j_to.Bench_trend.seq);
   (* Wider thresholds tolerate more. *)
   Alcotest.(check bool) "wide threshold" true
-    (Obs_trend.first_jump ~threshold:2.0 (tr [ entry 10.0 1.0; entry 14.0 1.0 ])
+    (Bench_trend.first_jump ~threshold:2.0 (tr [ entry 10.0 1.0; entry 14.0 1.0 ])
     = None);
-  match Obs_trend.first_jump ~threshold:1.0 (tr [ entry 10.0 1.0 ]) with
+  match Bench_trend.first_jump ~threshold:1.0 (tr [ entry 10.0 1.0 ]) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted threshold <= 1"
-
-(* ------------------------------------------------------------------ *)
-(* Attribution through the store                                       *)
-
-let store_trace st dir ~sha ~seed events =
-  let m = { (Obs_meta.make ~seed ()) with Obs_meta.git_sha = Some sha } in
-  let path = Filename.concat dir (sha ^ ".jsonl") in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Jsonx.to_string (Obs_meta.to_json m));
-      output_char oc '\n';
-      List.iter
-        (fun ev ->
-          output_string oc (Jsonx.to_string (Obs_event.to_json ev));
-          output_char oc '\n')
-        events);
-  ignore (ok (Obs_store.add st ~kind:Obs_store.Trace path) : Obs_store.record)
-
-let jump_history =
-  (* sha0 -> sha1 is a 1.4x regression. *)
-  history [ entry 10.0 1.0; entry 14.0 1.0 ]
-
-let events_a =
-  Obs_event.
-    [
-      Run_started { time = 0.0; source = "test"; seed = Some 1L };
-      Episode_started { time = 0.0; ws = 0; ep = 0 };
-      Run_finished { time = 1.0 };
-    ]
-
-let events_b =
-  Obs_event.
-    [
-      Run_started { time = 0.0; source = "test"; seed = Some 1L };
-      Episode_started { time = 0.5; ws = 0; ep = 0 };
-      Run_finished { time = 1.0 };
-    ]
-
-let test_attribute_diverging_traces () =
-  with_temp_dir (fun dir ->
-      let st =
-        ok (Obs_store.open_store ~root:(Filename.concat dir "store") ())
-      in
-      store_trace st dir ~sha:"sha0" ~seed:1L events_a;
-      store_trace st dir ~sha:"sha1" ~seed:2L events_b;
-      let tr = Obs_trend.trajectory ~metric:"m" jump_history in
-      match Obs_trend.attribute ~store:st tr with
-      | None -> Alcotest.fail "jump not attributed"
-      | Some a ->
-          Alcotest.(check (float 1e-9)) "jump ratio" 1.4
-            a.Obs_trend.a_jump.Obs_trend.j_ratio;
-          Alcotest.(check bool) "both traces found" true
-            (a.Obs_trend.a_left_trace <> None
-            && a.Obs_trend.a_right_trace <> None);
-          (match a.Obs_trend.a_divergence with
-          | None -> Alcotest.fail "missed the diverging event"
-          | Some d ->
-              Alcotest.(check int) "first divergence pinpointed" 1
-                d.Obs_query.d_index);
-          Alcotest.(check string) "no note when the diff lands" ""
-            a.Obs_trend.a_note)
-
-let test_attribute_identical_traces () =
-  with_temp_dir (fun dir ->
-      let st =
-        ok (Obs_store.open_store ~root:(Filename.concat dir "store") ())
-      in
-      store_trace st dir ~sha:"sha0" ~seed:1L events_a;
-      store_trace st dir ~sha:"sha1" ~seed:2L events_a;
-      let tr = Obs_trend.trajectory ~metric:"m" jump_history in
-      match Obs_trend.attribute ~store:st tr with
-      | None -> Alcotest.fail "jump not attributed"
-      | Some a ->
-          Alcotest.(check bool) "no divergence" true
-            (a.Obs_trend.a_divergence = None);
-          Alcotest.(check bool) "note says the traces agree" true
-            (contains_sub a.Obs_trend.a_note "structurally identical"))
-
-let test_attribute_missing_traces () =
-  with_temp_dir (fun dir ->
-      let st =
-        ok (Obs_store.open_store ~root:(Filename.concat dir "store") ())
-      in
-      let tr = Obs_trend.trajectory ~metric:"m" jump_history in
-      (match Obs_trend.attribute ~store:st tr with
-      | None -> Alcotest.fail "missing traces must still attribute"
-      | Some a ->
-          Alcotest.(check bool) "both sides reported missing" true
-            (contains_sub a.Obs_trend.a_note "either"));
-      (* One side present: the note names the absent one. *)
-      store_trace st dir ~sha:"sha0" ~seed:1L events_a;
-      (match Obs_trend.attribute ~store:st tr with
-      | None -> Alcotest.fail "half-stored jump must still attribute"
-      | Some a ->
-          Alcotest.(check bool) "left found" true
-            (a.Obs_trend.a_left_trace <> None);
-          Alcotest.(check bool) "right named missing" true
-            (contains_sub a.Obs_trend.a_note "right commit sha1"));
-      (* No jump at all: nothing to attribute. *)
-      let flat =
-        Obs_trend.trajectory ~metric:"m"
-          (history [ entry 10.0 1.0; entry 10.1 1.0 ])
-      in
-      Alcotest.(check bool) "no jump, no attribution" true
-        (Obs_trend.attribute ~store:st flat = None))
 
 let () =
   Alcotest.run "trend"
@@ -306,13 +176,4 @@ let () =
         ] );
       ( "jump",
         [ Alcotest.test_case "first jump" `Quick test_first_jump ] );
-      ( "attribution",
-        [
-          Alcotest.test_case "diverging traces" `Quick
-            test_attribute_diverging_traces;
-          Alcotest.test_case "identical traces" `Quick
-            test_attribute_identical_traces;
-          Alcotest.test_case "missing traces" `Quick
-            test_attribute_missing_traces;
-        ] );
     ]
