@@ -111,31 +111,6 @@ let resolve_family spec =
             geo-inc | exponential | weibull | power-law)"
            other)
 
-(* The declarative twin of [resolve_family]: the same spec as a
-   Plan_key family, for the plan-cache paths. Kept in lock-step so a
-   cached plan answers for exactly the life function the simulation
-   runs (exponential canonicalizes onto geo-dec per DESIGN §15). *)
-let plan_key_of_spec spec =
-  match spec.family with
-  | "uniform" -> Ok (Plan_key.Uniform { lifespan = spec.lifespan })
-  | "polynomial" | "poly" ->
-      Ok (Plan_key.Polynomial { d = spec.d; lifespan = spec.lifespan })
-  | "geo-dec" | "geometric-decreasing" -> Ok (Plan_key.Geo_dec { a = spec.a })
-  | "geo-inc" | "geometric-increasing" ->
-      Ok (Plan_key.Geo_inc { lifespan = spec.lifespan })
-  | "exponential" | "exp" ->
-      let rate = Option.value spec.rate ~default:(1.0 /. spec.lifespan) in
-      Ok (Plan_key.exponential ~rate)
-  | "weibull" ->
-      Ok (Plan_key.Weibull { w_shape = spec.w_shape; w_scale = spec.w_scale })
-  | "power-law" -> Ok (Plan_key.Power_law { d = float_of_int spec.d })
-  | other ->
-      Error
-        (Printf.sprintf
-           "unknown family %S (valid: uniform | polynomial | geo-dec | \
-            geo-inc | exponential | weibull | power-law)"
-           other)
-
 (* Every planner and simulator entry point requires a finite c > 0;
    rejecting anything else here keeps their internal invariant
    messages (e.g. from the t0 search over a nan bracket) away from the
@@ -159,10 +134,19 @@ let c_term =
     & info [ "c"; "overhead" ] ~docv:"C"
         ~doc:"Communication overhead per period (the paper's c); finite, > 0.")
 
-let with_family spec k =
+(* [c] is the largest overhead the command will plan with, given on
+   the command line as [flag]. Every planner entry point also requires
+   c < horizon p ([Bounds.bracket] and [Admissibility.test] check the
+   same value); refusing it here names the flag instead of leaking
+   their internal messages. *)
+let with_family ?(flag = "-c") spec ~c k =
   match resolve_family spec with
   | Error msg ->
       prerr_endline msg;
+      exit 2
+  | Ok lf when not (c < Life_function.horizon lf) ->
+      Printf.eprintf "error: %s %g must be below the horizon %g of %s\n" flag
+        c (Life_function.horizon lf) (Life_function.name lf);
       exit 2
   | Ok lf -> (
       try k lf
@@ -187,43 +171,6 @@ let jobs_term =
 let with_jobs jobs k =
   if jobs = 1 then k None
   else Domain_pool.with_pool ~domains:jobs (fun p -> k (Some p))
-
-(* ------------------------------------------------------------------ *)
-(* Plan-cache flags (shared by simulate and table)                     *)
-
-let plan_cache_term =
-  Arg.(
-    value & flag
-    & info [ "plan-cache" ]
-        ~doc:
-          "Answer the plan through the lib/plancache tiers (LRU cache, \
-           closed forms, loaded tables) instead of a direct search. A \
-           cold cache computes exactly what the direct path computes \
-           (same events, same schedule — $(b,cstrace diff)-identical); \
-           repeated queries answer in microseconds. $(b,cache.*) \
-           counters land in the metrics registry.")
-
-let plan_table_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "plan-table" ] ~docv:"FILE"
-        ~doc:
-          "Load a plan table baked by $(b,csctl table bake) and answer \
-           covered scenarios by interpolation within the table's \
-           certified error bound. Implies $(b,--plan-cache).")
-
-let make_plancache ~obs ~plan_table () =
-  let pc = Plancache.create ~obs () in
-  (match plan_table with
-  | None -> ()
-  | Some file -> (
-      match Plan_table.load file with
-      | Ok t -> Plancache.add_table pc t
-      | Error msg ->
-          prerr_endline ("error: " ^ msg);
-          exit 1));
-  pc
 
 (* ------------------------------------------------------------------ *)
 (* Observability flags (shared by schedule and simulate)               *)
@@ -380,7 +327,7 @@ let schedule_cmd =
         ~scenario:(Printf.sprintf "schedule family=%s c=%g" spec.family c)
         ()
     in
-    with_family spec (fun lf ->
+    with_family spec ~c (fun lf ->
         with_obs ~meta ~trace ~metrics (fun obs _snap _res ->
             let plan = Guideline.plan ~obs lf ~c in
             let lo, hi = plan.Guideline.bracket in
@@ -407,7 +354,7 @@ let schedule_cmd =
 
 let bounds_cmd =
   let run spec c =
-    with_family spec (fun lf ->
+    with_family spec ~c (fun lf ->
         let lo, hi = Bounds.bracket lf ~c in
         Format.printf "life function        : %a@." Life_function.pp lf;
         Format.printf "Thm 3.2 lower bound  : %.6f@." (Bounds.lower_t0 lf ~c);
@@ -489,7 +436,7 @@ let simulate_cmd =
              on a warn verdict, 2 on critical.")
   in
   let run spec c trials seed jobs trace metrics prom snapshot_every
-      snapshot_out resource health plan_cache plan_table =
+      snapshot_out resource health =
     let meta () =
       Obs.Meta.make ~seed:(Int64.of_int seed) ~jobs
         ~scenario:
@@ -501,23 +448,13 @@ let simulate_cmd =
     (* Filled while the pool is still alive; read by with_obs after the
        run when it writes the --prom file. *)
     let extra = ref [] in
-    with_family spec (fun lf ->
+    with_family spec ~c (fun lf ->
         with_obs ~meta ~trace ~metrics ?prom
           ~prom_extra:(fun () -> !extra)
           ?snapshot ~resource ?health
           (fun obs snap res ->
             with_jobs jobs (fun pool ->
-            let plan =
-              if plan_cache || plan_table <> None then
-                match plan_key_of_spec spec with
-                | Error msg ->
-                    prerr_endline msg;
-                    exit 2
-                | Ok family ->
-                    let pc = make_plancache ~obs ~plan_table () in
-                    Plancache.plan pc { Plan_key.family; c }
-              else Guideline.plan ~obs lf ~c
-            in
+            let plan = Guideline.plan ~obs lf ~c in
             let est =
               Monte_carlo.estimate ~obs ?pool ?snapshot:snap ?resource:res
                 ~trials lf ~c ~schedule:plan.Guideline.schedule
@@ -543,8 +480,7 @@ let simulate_cmd =
     Term.(
       const run $ family_term $ c_term $ trials $ seed $ jobs_term
       $ trace_term $ metrics_term $ prom_term $ snapshot_every_term
-      $ snapshot_out_term $ resource_term $ health_term $ plan_cache_term
-      $ plan_table_term)
+      $ snapshot_out_term $ resource_term $ health_term)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)
@@ -568,7 +504,7 @@ let compare_cmd =
              trials)
         ()
     in
-    with_family spec (fun lf ->
+    with_family spec ~c (fun lf ->
         with_obs ~meta ~trace ~metrics (fun obs _snap _res ->
             with_jobs jobs (fun pool ->
                 let plan = Guideline.plan ~obs lf ~c in
@@ -608,12 +544,12 @@ let compare_cmd =
 let table_cmd =
   let c_min =
     Arg.(
-      value & opt float 0.5
+      value & opt overhead_conv 0.5
       & info [ "c-min" ] ~docv:"C" ~doc:"Smallest overhead in the sweep.")
   in
   let c_max =
     Arg.(
-      value & opt float 4.0
+      value & opt overhead_conv 4.0
       & info [ "c-max" ] ~docv:"C" ~doc:"Largest overhead in the sweep.")
   in
   let steps =
@@ -621,16 +557,15 @@ let table_cmd =
       value & opt int 8
       & info [ "steps" ] ~docv:"N" ~doc:"Number of grid points.")
   in
-  let sweep spec c_min c_max steps jobs plan_table =
-    with_family spec (fun lf ->
+  let run spec c_min c_max steps jobs =
+    with_family ~flag:"--c-max" spec ~c:c_max (fun lf ->
         if steps < 1 then
           invalid_arg
             (Printf.sprintf "table: steps must be >= 1, got %d" steps);
-        if not (c_min > 0.0 && c_max >= c_min) then
+        if c_max < c_min then
           invalid_arg
-            (Printf.sprintf
-               "table: need 0 < c-min <= c-max, got c-min %g, c-max %g" c_min
-               c_max);
+            (Printf.sprintf "table: need c-min <= c-max, got c-min %g, c-max %g"
+               c_min c_max);
         with_jobs jobs (fun pool ->
             let grid =
               if steps = 1 then [ c_min ]
@@ -641,22 +576,7 @@ let table_cmd =
                        /. float_of_int (steps - 1))
             in
             let results =
-              match plan_table with
-              | None ->
-                  Guideline.plan_batch ?pool (List.map (fun c -> (lf, c)) grid)
-              | Some _ -> (
-                  (* Table-backed sweep: the batch answers through the
-                     plancache tiers — covered points interpolate within
-                     the certified bound, the rest fall through to the
-                     direct planner (and dedup as LRU hits). *)
-                  match plan_key_of_spec spec with
-                  | Error msg ->
-                      prerr_endline msg;
-                      exit 2
-                  | Ok family ->
-                      let pc = make_plancache ~obs:Obs.disabled ~plan_table () in
-                      Plancache.plan_batch pc
-                        (List.map (fun c -> { Plan_key.family; c }) grid))
+              Guideline.plan_batch ?pool (List.map (fun c -> (lf, c)) grid)
             in
             Format.printf "life function : %a@." Life_function.pp lf;
             Format.printf "%9s  %9s  %7s  %12s@." "c" "t0" "periods"
@@ -668,112 +588,19 @@ let table_cmd =
                   r.Guideline.expected_work)
               grid results))
   in
-  let bake_cmd =
-    let c_steps =
-      Arg.(
-        value & opt int 8
-        & info [ "c-steps" ] ~docv:"N" ~doc:"Grid nodes along the c axis.")
-    in
-    let param_min =
-      Arg.(
-        value & opt float 50.0
-        & info [ "param-min" ] ~docv:"P"
-            ~doc:
-              "Smallest family-parameter grid value (the lifespan L for \
-               bounded families, the base a for geo-dec).")
-    in
-    let param_max =
-      Arg.(
-        value & opt float 200.0
-        & info [ "param-max" ] ~docv:"P"
-            ~doc:"Largest family-parameter grid value.")
-    in
-    let param_steps =
-      Arg.(
-        value & opt int 8
-        & info [ "param-steps" ] ~docv:"N"
-            ~doc:"Grid nodes along the family-parameter axis.")
-    in
-    let out =
-      Arg.(
-        value & opt string "plan_table.cstable"
-        & info [ "out"; "o" ] ~docv:"FILE"
-            ~doc:"Where to write the baked table (single-line JSON).")
-    in
-    let run spec c_min c_max c_steps param_min param_max param_steps out =
-      let kind =
-        match spec.family with
-        | "uniform" -> Ok ("uniform", None)
-        | "polynomial" | "poly" -> Ok ("polynomial", Some spec.d)
-        | "geo-dec" | "geometric-decreasing" -> Ok ("geo-dec", None)
-        | "geo-inc" | "geometric-increasing" -> Ok ("geo-inc", None)
-        | other ->
-            Error
-              (Printf.sprintf
-                 "family %S has no table axis (bakeable: uniform | \
-                  polynomial | geo-dec | geo-inc)"
-                 other)
-      in
-      match kind with
-      | Error msg ->
-          prerr_endline msg;
-          exit 2
-      | Ok (kind, degree) -> (
-          match
-            Plan_table.bake ~kind ?degree ~c_lo:c_min ~c_hi:c_max ~c_steps
-              ~param_lo:param_min ~param_hi:param_max ~param_steps ()
-          with
-          | Error msg ->
-              prerr_endline ("error: " ^ msg);
-              exit 1
-          | Ok tbl -> (
-              match Plan_table.save out tbl with
-              | Error msg ->
-                  prerr_endline ("error: " ^ msg);
-                  exit 1
-              | Ok () ->
-                  Format.printf
-                    "baked plan table : family=%s%s, %d nodes (c in [%g, \
-                     %g], param in [%g, %g])@."
-                    kind
-                    (match degree with
-                    | Some d -> Printf.sprintf " d=%d" d
-                    | None -> "")
-                    (Plan_table.nodes tbl) c_min c_max param_min param_max;
-                  Format.printf
-                    "certified bound  : %.3e relative expected-work \
-                     shortfall@."
-                    (Plan_table.error_bound tbl);
-                  Format.printf "wrote %s@." out))
-    in
-    Cmd.v
-      (Cmd.info "bake"
-         ~doc:
-           "Precompute a plan table over a (c, family-parameter) grid with \
-            a certified interpolation error bound, for --plan-table.")
-      Term.(
-        const run $ family_term $ c_min $ c_max $ c_steps $ param_min
-        $ param_max $ param_steps $ out)
-  in
-  Cmd.group
-    ~default:
-      Term.(
-        const sweep $ family_term $ c_min $ c_max $ steps $ jobs_term
-        $ plan_table_term)
+  Cmd.v
     (Cmd.info "table"
        ~doc:
          "Sweep the guideline planner over an overhead grid and print the \
-          schedule table (one batch, parallel with --jobs; answered from a \
-          baked table with --plan-table), or bake an ahead-of-time plan \
-          table with $(b,csctl table bake).")
-    [ bake_cmd ]
+          schedule table (one batch, parallel with --jobs).")
+    Term.(const run $ family_term $ c_min $ c_max $ steps $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
 (* admissible                                                          *)
 
 let admissible_cmd =
   let run spec c =
-    with_family spec (fun lf ->
+    with_family spec ~c (fun lf ->
         Format.printf "life function : %a@." Life_function.pp lf;
         match Admissibility.test lf ~c with
         | Admissibility.Admissible { witness; margin } ->
@@ -972,7 +799,7 @@ let worst_case_cmd =
 
 let distribution_cmd =
   let run spec c =
-    with_family spec (fun lf ->
+    with_family spec ~c (fun lf ->
         let plan = Guideline.plan lf ~c in
         let d = Work_distribution.of_schedule lf ~c plan.Guideline.schedule in
         Format.printf "schedule : %a@." Schedule.pp plan.Guideline.schedule;
@@ -1051,7 +878,7 @@ let profile_cmd =
              (per-span wall times vary run to run).")
   in
   let run spec c trials seed out tree =
-    with_family spec (fun lf ->
+    with_family spec ~c (fun lf ->
         let recorder = Obs.Span.create () in
         let obs = Obs.create ~spans:recorder () in
         let plan = Guideline.plan ~obs lf ~c in

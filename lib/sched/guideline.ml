@@ -6,17 +6,21 @@ type result = {
   stop : Recurrence.stop_reason;
 }
 
-let evaluate ?(obs = Obs.disabled) ?finish lf ~c ~t0 =
+(* Grid resolution of the t0 search inside the Thm 3.2/3.3 bracket,
+   before Brent refinement. *)
+let t0_steps = 128
+
+let evaluate ?(obs = Obs.disabled) lf ~c ~t0 =
   Obs.span obs "plan.evaluate" (fun () ->
-      let g = Recurrence.generate ~obs ?finish lf ~c ~t0 in
+      let g = Recurrence.generate ~obs lf ~c ~t0 in
       let ew =
         Obs.span obs "plan.expected_work" (fun () ->
             Schedule.expected_work ~c lf g.Recurrence.schedule)
       in
       (g, ew))
 
-let plan_with_t0 ?finish lf ~c ~t0 =
-  let g, ew = evaluate ?finish lf ~c ~t0 in
+let plan_with_t0 lf ~c ~t0 =
+  let g, ew = evaluate lf ~c ~t0 in
   {
     schedule = g.Recurrence.schedule;
     t0;
@@ -25,7 +29,7 @@ let plan_with_t0 ?finish lf ~c ~t0 =
     stop = g.Recurrence.stop;
   }
 
-let plan ?(obs = Obs.disabled) ?(t0_steps = 128) ?finish lf ~c =
+let plan ?(obs = Obs.disabled) lf ~c =
   let compute () =
     (* The guideline's three phases, each its own span: Thm 3.2/3.3
        bracketing, the t0 grid-and-refine search (whose evaluations span
@@ -33,12 +37,12 @@ let plan ?(obs = Obs.disabled) ?(t0_steps = 128) ?finish lf ~c =
     let lo, hi =
       Obs.span obs "plan.bracket" (fun () -> Bounds.bracket lf ~c)
     in
-    let objective t0 = snd (evaluate ~obs ?finish lf ~c ~t0) in
+    let objective t0 = snd (evaluate ~obs lf ~c ~t0) in
     let best =
       Obs.span obs "plan.search" (fun () ->
           Optimize.grid_then_refine objective ~lo ~hi ~steps:t0_steps)
     in
-    let g, ew = evaluate ~obs ?finish lf ~c ~t0:best.Optimize.x in
+    let g, ew = evaluate ~obs lf ~c ~t0:best.Optimize.x in
     {
       schedule = g.Recurrence.schedule;
       t0 = best.Optimize.x;
@@ -66,8 +70,7 @@ let plan ?(obs = Obs.disabled) ?(t0_steps = 128) ?finish lf ~c =
     r
   end
 
-let plan_batch ?(obs = Obs.disabled) ?pool ?domains ?t0_steps ?finish scenarios
-    =
+let plan_batch ?(obs = Obs.disabled) ?pool ?domains scenarios =
   match scenarios with
   | [] -> []
   | _ :: _ ->
@@ -110,8 +113,7 @@ let plan_batch ?(obs = Obs.disabled) ?pool ?domains ?t0_steps ?finish scenarios
       Obs.span obs "guideline.plan_batch" (fun () ->
           Domain_pool.run ?pool ?domains ?metrics:meter ~chunks:m (fun u ->
               let lf, c = scen.(uniq.(u)) in
-              slots.(u) <-
-                Some (plan ~obs:(Obs_fork.child kids u) ?t0_steps ?finish lf ~c));
+              slots.(u) <- Some (plan ~obs:(Obs_fork.child kids u) lf ~c));
           let merge_t0 = if accounting then Obs_clock.now () else 0.0 in
           Obs_fork.gather obs kids;
           if accounting then
@@ -122,7 +124,7 @@ let plan_batch ?(obs = Obs.disabled) ?pool ?domains ?t0_steps ?finish scenarios
           | Some r -> r
           | None -> assert false (* every chunk filled its slot *))
 
-let plan_risk_averse ?(t0_steps = 128) ~lambda_ lf ~c =
+let plan_risk_averse ~lambda_ lf ~c =
   if lambda_ < 0.0 then
     invalid_arg "Guideline.plan_risk_averse: lambda_ must be >= 0";
   let lo, hi = Bounds.bracket lf ~c in
@@ -141,7 +143,7 @@ let plan_risk_averse ?(t0_steps = 128) ~lambda_ lf ~c =
     stop = g.Recurrence.stop;
   }
 
-let next_period_online ?t0_steps lf ~c ~elapsed =
+let next_period_online lf ~c ~elapsed =
   if elapsed < 0.0 then
     invalid_arg "Guideline.next_period_online: elapsed must be >= 0";
   let p_elapsed = Life_function.eval lf elapsed in
@@ -169,6 +171,6 @@ let next_period_online ?t0_steps lf ~c ~elapsed =
             ~validate:false
             (fun s -> Life_function.eval lf (elapsed +. s) /. p_elapsed)
         in
-        let r = plan ?t0_steps conditional ~c in
+        let r = plan conditional ~c in
         if r.expected_work > 0.0 && r.t0 > c then Some r.t0 else None
   end

@@ -15,15 +15,10 @@ type result = {
   stop : Recurrence.stop_reason;  (** Why generation ended. *)
 }
 
-val plan :
-  ?obs:Obs.t ->
-  ?t0_steps:int ->
-  ?finish:Recurrence.finish ->
-  Life_function.t -> c:float ->
-  result
-(** [plan p ~c] runs the full guideline pipeline. [t0_steps] (default 128)
-    is the grid resolution of the [t_0] search inside the bracket before
-    Brent refinement. Requires [0 < c < horizon p].
+val plan : ?obs:Obs.t -> Life_function.t -> c:float -> result
+(** [plan p ~c] runs the full guideline pipeline: a 128-point grid search
+    for [t_0] inside the bracket, then Brent refinement. Requires
+    [0 < c < horizon p].
 
     [?obs] (default {!Obs.disabled}) records the planning step: a
     [Plan_computed] event (source ["guideline"], with the chosen [t_0],
@@ -40,8 +35,6 @@ val plan_batch :
   ?obs:Obs.t ->
   ?pool:Domain_pool.t ->
   ?domains:int ->
-  ?t0_steps:int ->
-  ?finish:Recurrence.finish ->
   (Life_function.t * float) list ->
   result list
 (** [plan_batch scenarios] is [List.map (fun (p, c) -> plan p ~c)
@@ -64,19 +57,12 @@ val plan_batch :
     [plan.guideline_calls] count unique scenarios and the profile groups
     per-scenario [guideline.plan] spans. *)
 
-val plan_with_t0 :
-  ?finish:Recurrence.finish ->
-  Life_function.t -> c:float -> t0:float ->
-  result
+val plan_with_t0 : Life_function.t -> c:float -> t0:float -> result
 (** [plan_with_t0 p ~c ~t0] skips the search and generates from a caller-
     chosen initial period — used when comparing specific [t_0] choices
     (e.g. the closed-form §4 values) under the same machinery. *)
 
-val plan_risk_averse :
-  ?t0_steps:int ->
-  lambda_:float ->
-  Life_function.t -> c:float ->
-  result
+val plan_risk_averse : lambda_:float -> Life_function.t -> c:float -> result
 (** [plan_risk_averse ~lambda_ p ~c] searches the same Theorem 3.2/3.3
     bracket and recurrence family as {!plan}, but scores each candidate
     schedule by the mean–deviation objective
@@ -88,9 +74,7 @@ val plan_risk_averse :
     [0 < c < horizon p]. *)
 
 val next_period_online :
-  ?t0_steps:int ->
-  Life_function.t -> c:float -> elapsed:float ->
-  float option
+  Life_function.t -> c:float -> elapsed:float -> float option
 (** [next_period_online p ~c ~elapsed] supports the §6 "progressive"
     mode: given that the workstation has survived to [elapsed], it plans
     against the conditional life function

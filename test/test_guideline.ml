@@ -13,12 +13,25 @@ let test_guideline_matches_exact_uniform () =
   feq ~eps:1e-4 exact.Exact.t0 g.Guideline.t0
 
 let test_guideline_matches_exact_geo_dec () =
-  let a = exp 0.05 and c = 1.0 in
-  let lf = Families.geometric_decreasing ~a in
-  let g = Guideline.plan lf ~c in
-  let exact = Exact.geometric_decreasing ~c ~a in
-  feq ~eps:1e-6 exact.Exact.expected_work g.Guideline.expected_work;
-  feq ~eps:1e-4 exact.Exact.t0 g.Guideline.t0
+  (* Exact's Lambert-W optimum is the true maximum, so the guideline's
+     searched E may trail it by the search's refinement error but never
+     exceed it. *)
+  List.iter
+    (fun rate ->
+      List.iter
+        (fun c ->
+          let a = exp rate in
+          let lf = Families.geometric_decreasing ~a in
+          let g = Guideline.plan lf ~c in
+          let exact = Exact.geometric_decreasing ~c ~a in
+          feq ~eps:1e-6 exact.Exact.expected_work g.Guideline.expected_work;
+          feq ~eps:1e-4 exact.Exact.t0 g.Guideline.t0;
+          Alcotest.(check bool)
+            (Printf.sprintf "exact >= guideline (a = e^%g, c = %g)" rate c)
+            true
+            (exact.Exact.expected_work >= g.Guideline.expected_work -. 1e-9))
+        [ 0.5; 1.0; 2.0 ])
+    [ 0.02; 0.05; 0.1 ]
 
 let test_guideline_geo_inc_at_least_exact_structure () =
   (* In continuous time the guideline recurrence (4.7) can slightly beat
@@ -142,6 +155,29 @@ let test_online_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative elapsed accepted"
 
+(* --- plan_batch dedup -------------------------------------------------- *)
+
+let test_guideline_batch_dedups () =
+  let lf = Families.uniform ~lifespan:100.0 in
+  let lf2 = Families.geometric_increasing ~lifespan:30.0 in
+  let batch = [ (lf, 1.0); (lf2, 1.0); (lf, 1.0); (lf, 2.0); (lf2, 1.0) ] in
+  let rs = Array.of_list (Guideline.plan_batch batch) in
+  Alcotest.(check int) "result per input" 5 (Array.length rs);
+  (* Duplicates fan out the same computation: physically shared. *)
+  Alcotest.(check bool) "dup scenario shares result" true (rs.(0) == rs.(2));
+  Alcotest.(check bool) "dup scenario shares result (2)" true
+    (rs.(1) == rs.(4));
+  Alcotest.(check bool) "different c not shared" true (rs.(0) != rs.(3));
+  (* And order matches the undeduped map. *)
+  List.iteri
+    (fun i (lf, c) ->
+      let direct = Guideline.plan lf ~c in
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "slot %d matches direct" i)
+        direct.Guideline.expected_work
+        rs.(i).Guideline.expected_work)
+    batch
+
 (* --- properties -------------------------------------------------------- *)
 
 let prop_guideline_within_2pct_of_optimizer =
@@ -211,5 +247,10 @@ let () =
           Alcotest.test_case "none when exhausted" `Quick
             test_online_none_when_exhausted;
           Alcotest.test_case "validation" `Quick test_online_validation;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "Guideline.plan_batch dedups" `Quick
+            test_guideline_batch_dedups;
         ] );
     ]

@@ -209,7 +209,7 @@ let test_r9 () =
   check_rules "suppressed" []
     (lint "let s () = (Gc.quick_stat () [@lint.allow \"R9\"])\n")
 
-(* ---- R14: memo/cache state confined to lib/plancache ---- *)
+(* ---- R14: no toplevel memo/cache state in lib/sched ---- *)
 
 let test_r14 () =
   let sched = "lib/sched/fixture.ml" in
@@ -237,10 +237,8 @@ let test_r14 () =
   check_rules "function-local ref fine" []
     (lint ~path:sched "let count xs = let n = ref 0 in List.iter (fun _ -> \
                        incr n) xs; !n\n");
-  (* Scoped to lib/sched: the same binding is legal where state is the
-     point (lib/plancache) or outside the planning core entirely. *)
-  check_rules "plancache exempt" []
-    (lint ~path:"lib/plancache/fixture.ml" "let memo = Hashtbl.create 16\n");
+  (* Scoped to lib/sched: the same binding is legal outside the planning
+     core. *)
   check_rules "other lib dirs exempt" []
     (lint ~path:"lib/obs/fixture.ml" "let memo = Hashtbl.create 16\n");
   check_rules "bin exempt" []
