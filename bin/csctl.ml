@@ -9,23 +9,14 @@
      csctl admissible --family power-law --d 2 -c 1
      csctl fit       --model exponential --mean 40 --samples 1000 -c 1
      csctl checkpoint --work 720 --mtbf 240 -c 1.5
-     csctl report    trace.jsonl
      csctl profile   --family uniform -c 1 --out trace.json
 
-   [schedule] and [simulate] accept --trace FILE (write a JSONL event
-   trace of the run, opened by an Obs_meta provenance header) and
-   --metrics (print the metrics registry after); [simulate] additionally
-   accepts --prom FILE (Prometheus text exposition of the registry,
-   including per-domain pool utilization series when --jobs > 1),
-   --snapshot-every N / --snapshot-out FILE (periodic metric snapshots,
-   plottable with cstrace timeline), --resource (sample GC counters at
-   deterministic chunk boundaries into the gc.* series) and
-   --health FILE (evaluate SLO rules against the end-of-run registry and
-   exit 1/2 on warn/critical); [report] aggregates a JSONL trace
-   back into summary numbers. The
-   Monte-Carlo and batch-planning commands ([simulate], [compare],
-   [table]) accept --jobs N to run on N domains; output is bit-identical
-   for any N (DESIGN.md §10). *)
+   [schedule], [simulate] and [compare] accept --trace FILE (write a
+   JSONL event trace of the run, opened by an Obs_meta provenance
+   header; summarise it with cstrace report) and --metrics (print the
+   metrics registry after). The Monte-Carlo and batch-planning commands
+   ([simulate], [compare], [table]) accept --jobs N to run on N
+   domains; output is bit-identical for any N (DESIGN.md §10). *)
 
 open Cmdliner
 
@@ -128,6 +119,26 @@ let overhead_conv =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* A lower-bounded count flag. The library entry points check the same
+   bounds; refusing a bad value here makes it a usage error naming the
+   flag instead of an internal invariant message. *)
+let int_at_least ?(max = max_int) lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when lo <= n && n <= max -> Ok n
+    | Ok _ ->
+        Error
+          (`Msg
+            (if max = max_int then
+               Printf.sprintf "invalid value '%s', expected an integer >= %d" s
+                 lo
+             else
+               Printf.sprintf
+                 "invalid value '%s', expected an integer in [%d, %d]" s lo max))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let c_term =
   Arg.(
     value & opt overhead_conv 1.0
@@ -159,12 +170,15 @@ let with_family ?(flag = "-c") spec ~c k =
 
 let jobs_term =
   Arg.(
-    value & opt int 1
+    value
+    & opt (int_at_least ~max:Domain_pool.max_domains 1) 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains to run the Monte-Carlo / planning work on \
-           (default 1 = serial). Output is bit-identical for any $(docv); \
-           only wall time changes.")
+          (Printf.sprintf
+             "Worker domains to run the Monte-Carlo / planning work on \
+              (default 1 = serial, at most %d). Output is bit-identical \
+              for any $(docv); only wall time changes."
+             Domain_pool.max_domains))
 
 (* [k] receives [None] for the untouched serial path, or a transient
    pool that is shut down when [k] returns. *)
@@ -182,7 +196,7 @@ let trace_term =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a JSONL event trace of the run to $(docv) (one JSON \
-           object per line; aggregate it back with $(b,csctl report)).")
+           object per line; summarise it with $(b,cstrace report)).")
 
 let metrics_term =
   Arg.(
@@ -190,122 +204,16 @@ let metrics_term =
     & info [ "metrics" ]
         ~doc:"Print the collected metrics registry after the run.")
 
-let prom_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "prom" ] ~docv:"FILE"
-        ~doc:
-          "Write the metrics registry as Prometheus text exposition to \
-           $(docv) after the run.")
-
-let snapshot_every_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "snapshot-every" ] ~docv:"N"
-        ~doc:
-          "Capture a metrics snapshot every $(docv) trials (rounded up to \
-           the Monte-Carlo chunk size); write the JSONL timeline to \
-           $(b,--snapshot-out).")
-
-let snapshot_out_term =
-  Arg.(
-    value
-    & opt string "snapshots.jsonl"
-    & info [ "snapshot-out" ] ~docv:"FILE"
-        ~doc:"Where $(b,--snapshot-every) writes its snapshot timeline.")
-
-(* Build an [Obs.t] from the flags and run [k obs snap res] with it.
-   [meta] is a thunk so the git-sha capture only happens when a trace
-   file is actually being written. Afterwards: print the registry
-   (--metrics), write the Prometheus exposition (--prom, with
-   [prom_extra ()] lines appended — per-domain utilization series the
-   registry itself cannot carry), the snapshot timeline
-   (--snapshot-every/--snapshot-out), and finally evaluate [--health]
-   rules against the end-of-run registry, exiting 1/2 on a warn /
-   critical verdict. [resource] attaches a GC sampler ([gc.*] series)
-   that the caller threads to the run's deterministic sampling
-   points. *)
-let with_obs ~meta ~trace ~metrics ?prom ?(prom_extra = fun () -> [])
-    ?snapshot ?(resource = false) ?health k =
-  let registry =
-    if
-      metrics || prom <> None || snapshot <> None || resource
-      || health <> None
-    then Some (Obs.Metrics.create ())
-    else None
-  in
-  let snap =
-    match (snapshot, registry) with
-    | Some (every, _), Some m -> (
-        try Some (Obs.Snapshot.create ~every m)
-        with Invalid_argument msg ->
-          prerr_endline ("error: " ^ msg);
-          exit 2)
-    | _ -> None
-  in
-  let res =
-    match registry with
-    | Some m when resource -> Some (Obs.Resource.create m)
-    | _ -> None
-  in
-  let health_rules =
-    match health with
-    | None -> None
-    | Some path -> (
-        let text =
-          try In_channel.with_open_text path In_channel.input_all
-          with Sys_error msg ->
-            prerr_endline ("error: " ^ msg);
-            exit 2
-        in
-        match Obs.Health.parse text with
-        | Ok rules -> Some rules
-        | Error msg ->
-            prerr_endline ("error: " ^ path ^ ": " ^ msg);
-            exit 2)
-  in
-  let write_file path writer =
-    try
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> writer oc)
-    with Sys_error msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 1
-  in
+(* Build an [Obs.t] from the flags, run [k obs] with it, then print the
+   registry (--metrics). [meta] is a thunk so the git-sha capture only
+   happens when a trace file is actually being written. *)
+let with_obs ~meta ~trace ~metrics k =
+  let registry = if metrics then Some (Obs.Metrics.create ()) else None in
   let finish obs =
-    k obs snap res;
-    (match Obs.metrics obs with
-    | Some m when metrics -> Format.printf "%a" Obs.Metrics.pp m
-    | _ -> ());
-    (match (prom, Obs.metrics obs) with
-    | Some path, Some m ->
-        write_file path (fun oc ->
-            List.iter
-              (fun l ->
-                output_string oc l;
-                output_char oc '\n')
-              (Obs_export.prometheus m @ prom_extra ()));
-        Format.printf "wrote prometheus exposition to %s@." path
-    | _ -> ());
-    (match (snapshot, snap) with
-    | Some (_, out), Some s ->
-        write_file out (fun oc ->
-            Obs.Snapshot.write_jsonl ~meta:(meta ()) s oc);
-        Format.printf "wrote %d snapshot(s) to %s@."
-          (List.length (Obs.Snapshot.entries s))
-          out
-    | _ -> ());
-    match (health_rules, Obs.metrics obs) with
-    | Some rules, Some m ->
-        let report =
-          Obs.Health.evaluate ~rules [ (None, Obs.Metrics.snapshot m) ]
-        in
-        Format.printf "%a" Obs.Health.pp_report report;
-        let code = Obs.Health.exit_code report in
-        if code <> 0 then exit code
-    | _ -> ()
+    k obs;
+    match Obs.metrics obs with
+    | Some m -> Format.printf "%a" Obs.Metrics.pp m
+    | None -> ()
   in
   match trace with
   | None -> finish (Obs.create ?metrics:registry ())
@@ -328,7 +236,7 @@ let schedule_cmd =
         ()
     in
     with_family spec ~c (fun lf ->
-        with_obs ~meta ~trace ~metrics (fun obs _snap _res ->
+        with_obs ~meta ~trace ~metrics (fun obs ->
             let plan = Guideline.plan ~obs lf ~c in
             let lo, hi = plan.Guideline.bracket in
             Format.printf "life function : %a@." Life_function.pp lf;
@@ -380,63 +288,18 @@ let bounds_cmd =
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
 
-(* Per-domain utilization series for --prom: four gauge families keyed
-   by a domain label, which the flat (label-free) registry cannot
-   carry. *)
-let pool_prom_lines p =
-  let stats = Domain_pool.utilization p in
-  let series f =
-    Array.to_list
-      (Array.map
-         (fun (d : Domain_pool.domain_stat) ->
-           ([ ("domain", string_of_int d.Domain_pool.d_domain) ], f d))
-         stats)
-  in
-  Obs_export.prometheus_labeled ~name:"pool_domain_busy_seconds"
-    ~help:"Per-domain time spent executing chunks." ~typ:"gauge"
-    (series (fun d -> d.Domain_pool.d_busy_s))
-  @ Obs_export.prometheus_labeled ~name:"pool_domain_idle_seconds"
-      ~help:"Per-domain time spent idle inside submitted jobs." ~typ:"gauge"
-      (series (fun d -> d.Domain_pool.d_idle_s))
-  @ Obs_export.prometheus_labeled ~name:"pool_domain_queue_wait_seconds"
-      ~help:"Per-domain wait between job submission and first chunk claim."
-      ~typ:"gauge"
-      (series (fun d -> d.Domain_pool.d_queue_wait_s))
-  @ Obs_export.prometheus_labeled ~name:"pool_domain_chunks"
-      ~help:"Chunks executed per domain." ~typ:"gauge"
-      (series (fun d -> float_of_int d.Domain_pool.d_chunks))
-
 let simulate_cmd =
   let trials =
     Arg.(
-      value & opt int 20_000
-      & info [ "trials" ] ~docv:"N" ~doc:"Monte-Carlo episodes.")
+      value
+      & opt (int_at_least 2) 20_000
+      & info [ "trials" ] ~docv:"N" ~doc:"Monte-Carlo episodes; at least 2.")
   in
   let seed =
     Arg.(
       value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
-  let resource_term =
-    Arg.(
-      value & flag
-      & info [ "resource" ]
-          ~doc:
-            "Sample GC/runtime resource counters into the $(b,gc.*) \
-             metric series at the run's deterministic chunk boundaries \
-             (implies a metrics registry).")
-  in
-  let health_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "health" ] ~docv:"FILE"
-          ~doc:
-            "Evaluate the health rules in $(docv) against the \
-             end-of-run metrics registry; print the report and exit 1 \
-             on a warn verdict, 2 on critical.")
-  in
-  let run spec c trials seed jobs trace metrics prom snapshot_every
-      snapshot_out resource health =
+  let run spec c trials seed jobs trace metrics =
     let meta () =
       Obs.Meta.make ~seed:(Int64.of_int seed) ~jobs
         ~scenario:
@@ -444,43 +307,32 @@ let simulate_cmd =
              trials)
         ()
     in
-    let snapshot = Option.map (fun n -> (n, snapshot_out)) snapshot_every in
-    (* Filled while the pool is still alive; read by with_obs after the
-       run when it writes the --prom file. *)
-    let extra = ref [] in
     with_family spec ~c (fun lf ->
-        with_obs ~meta ~trace ~metrics ?prom
-          ~prom_extra:(fun () -> !extra)
-          ?snapshot ~resource ?health
-          (fun obs snap res ->
+        with_obs ~meta ~trace ~metrics (fun obs ->
             with_jobs jobs (fun pool ->
-            let plan = Guideline.plan ~obs lf ~c in
-            let est =
-              Monte_carlo.estimate ~obs ?pool ?snapshot:snap ?resource:res
-                ~trials lf ~c ~schedule:plan.Guideline.schedule
-                ~seed:(Int64.of_int seed)
-            in
-            (match (pool, prom) with
-            | Some p, Some _ -> extra := pool_prom_lines p
-            | _ -> ());
-            let lo, hi = est.Monte_carlo.ci95 in
-            Format.printf "schedule      : %a@." Schedule.pp
-              plan.Guideline.schedule;
-            Format.printf "analytic E    : %.6f@." est.Monte_carlo.analytic;
-            Format.printf "MC mean (n=%d): %.6f  95%% CI [%.6f, %.6f]@."
-              est.Monte_carlo.trials est.Monte_carlo.mean_work lo hi;
-            Format.printf "interrupted   : %.2f%%@."
-              (100.0 *. est.Monte_carlo.interrupted_fraction);
-            Format.printf "mean overhead : %.6f ; mean work lost: %.6f@."
-              est.Monte_carlo.mean_overhead est.Monte_carlo.mean_lost)))
+                let plan = Guideline.plan ~obs lf ~c in
+                let est =
+                  Monte_carlo.estimate ~obs ?pool ~trials lf ~c
+                    ~schedule:plan.Guideline.schedule ~seed:(Int64.of_int seed)
+                in
+                let lo, hi = est.Monte_carlo.ci95 in
+                Format.printf "schedule      : %a@." Schedule.pp
+                  plan.Guideline.schedule;
+                Format.printf "analytic E    : %.6f@."
+                  est.Monte_carlo.analytic;
+                Format.printf "MC mean (n=%d): %.6f  95%% CI [%.6f, %.6f]@."
+                  est.Monte_carlo.trials est.Monte_carlo.mean_work lo hi;
+                Format.printf "interrupted   : %.2f%%@."
+                  (100.0 *. est.Monte_carlo.interrupted_fraction);
+                Format.printf "mean overhead : %.6f ; mean work lost: %.6f@."
+                  est.Monte_carlo.mean_overhead est.Monte_carlo.mean_lost)))
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Monte-Carlo-validate the guideline schedule for a scenario.")
     Term.(
       const run $ family_term $ c_term $ trials $ seed $ jobs_term
-      $ trace_term $ metrics_term $ prom_term $ snapshot_every_term
-      $ snapshot_out_term $ resource_term $ health_term)
+      $ trace_term $ metrics_term)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)
@@ -488,9 +340,12 @@ let simulate_cmd =
 let compare_cmd =
   let trials =
     Arg.(
-      value & opt int 2_000
+      value
+      & opt (int_at_least 1) 2_000
       & info [ "trials" ] ~docv:"N"
-          ~doc:"Monte-Carlo episodes per policy (common random numbers).")
+          ~doc:
+            "Monte-Carlo episodes per policy (common random numbers); at \
+             least 1.")
   in
   let seed =
     Arg.(
@@ -505,7 +360,7 @@ let compare_cmd =
         ()
     in
     with_family spec ~c (fun lf ->
-        with_obs ~meta ~trace ~metrics (fun obs _snap _res ->
+        with_obs ~meta ~trace ~metrics (fun obs ->
             with_jobs jobs (fun pool ->
                 let plan = Guideline.plan ~obs lf ~c in
                 let policies =
@@ -647,8 +502,10 @@ let fit_cmd =
   in
   let samples =
     Arg.(
-      value & opt int 1000
-      & info [ "samples" ] ~docv:"N" ~doc:"Number of absences to synthesize.")
+      value
+      & opt (int_at_least 2) 1000
+      & info [ "samples" ] ~docv:"N"
+          ~doc:"Number of absences to synthesize; at least 2.")
   in
   let seed =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -823,38 +680,15 @@ let distribution_cmd =
     Term.(const run $ family_term $ c_term)
 
 (* ------------------------------------------------------------------ *)
-(* report                                                               *)
-
-let report_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TRACE"
-          ~doc:"JSONL trace file written by --trace.")
-  in
-  let run file =
-    match Trace_report.load file with
-    | Ok summary -> Format.printf "%a" Trace_report.pp summary
-    | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 1
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Aggregate a JSONL event trace into per-run and per-workstation \
-          summaries (kill rates, overhead fraction, quantiles).")
-    Term.(const run $ file)
-
-(* ------------------------------------------------------------------ *)
 (* profile                                                              *)
 
 let profile_cmd =
   let trials =
     Arg.(
-      value & opt int 2_000
-      & info [ "trials" ] ~docv:"N" ~doc:"Monte-Carlo episodes to profile.")
+      value
+      & opt (int_at_least 2) 2_000
+      & info [ "trials" ] ~docv:"N"
+          ~doc:"Monte-Carlo episodes to profile; at least 2.")
   in
   let seed =
     Arg.(
@@ -948,6 +782,5 @@ let () =
             checkpoint_cmd;
             worst_case_cmd;
             distribution_cmd;
-            report_cmd;
             profile_cmd;
           ]))

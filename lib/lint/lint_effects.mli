@@ -10,7 +10,7 @@
     from a non-observability module into [lib/obs]: the planning core is
     instrumented through the [?obs] seam, and the invariant that obs
     writes never feed back into planning values is enforced elsewhere
-    (R4/R8/R9 fence the primitives inside obs; the CI trace diff checks
+    (R4/R8 fence the primitives inside obs; the CI trace diff checks
     bit-identity end to end). Everything inside [lib/obs] still
     propagates normally, so obs modules' own manifest signatures stay
     honest. *)

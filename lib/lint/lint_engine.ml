@@ -30,8 +30,6 @@ let scope_of_path path : Lint_rules.scope =
     is_prng = ends_with_any [ "numerics/prng.ml"; "numerics/prng.mli" ] n;
     in_parallel = under "parallel" n;
     is_clock = ends_with_any [ "obs/obs_clock.ml"; "obs/obs_clock.mli" ] n;
-    is_resource =
-      ends_with_any [ "obs/obs_resource.ml"; "obs/obs_resource.mli" ] n;
     in_sched = under "lib" n && under "sched" n;
   }
 

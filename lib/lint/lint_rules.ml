@@ -5,7 +5,6 @@ type scope = {
   is_prng : bool;
   in_parallel : bool;
   is_clock : bool;
-  is_resource : bool;
   in_sched : bool;
 }
 
@@ -58,15 +57,6 @@ let all_meta =
       remedy =
         "route timing through Obs_clock, whose monotonic high-water clamp \
          keeps span durations non-negative";
-    };
-    {
-      id = "R9";
-      title =
-        "no direct Gc.stat / Gc.quick_stat / Gc.counters outside \
-         lib/obs/obs_resource.ml";
-      remedy =
-        "sample through Obs_resource, whose tick divisor keeps the cost \
-         budgeted and the sampling points deterministic";
     };
     {
       id = "R10";
@@ -264,16 +254,6 @@ let make_checker (scope : scope) =
         report "R8" loc
           "Sys.time reads the process clock directly; route timing through \
            Obs_clock"
-    | _ -> ());
-    (match lid with
-    | Longident.Ldot
-        (Longident.Lident "Gc", (("stat" | "quick_stat" | "counters") as fn))
-      when not scope.is_resource ->
-        report "R9" loc
-          (Printf.sprintf
-             "Gc.%s samples the runtime directly; go through Obs_resource, \
-              which budgets the cost and keeps sampling points deterministic"
-             fn)
     | _ -> ());
     (if (not scope.is_prng) && String.equal (longident_head lid) "Random" then
        report "R3" loc

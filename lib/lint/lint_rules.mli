@@ -15,15 +15,13 @@ type scope = {
   is_prng : bool;  (** [lib/numerics/prng.ml] itself: exempt from R3. *)
   in_parallel : bool;  (** Under [lib/parallel/]: exempt from R7. *)
   is_clock : bool;  (** [lib/obs/obs_clock.ml] itself: exempt from R8. *)
-  is_resource : bool;
-      (** [lib/obs/obs_resource.ml] itself: exempt from R9. *)
   in_sched : bool;  (** Under [lib/sched/]: R14 applies. *)
 }
 
 type meta = { id : string; title : string; remedy : string }
 
 val all_meta : meta list
-(** One entry per rule, in id order (R1–R12, R14, then the M-series
+(** One entry per rule, in id order (R1–R8, R10–R12, R14, then the M-series
     meta-rules); used by [cslint --rules] and kept in sync with
     DESIGN.md §8 and §13. *)
 

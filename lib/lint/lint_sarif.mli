@@ -1,7 +1,6 @@
 (** SARIF 2.1.0 rendering of a lint run, paired with a validator for the
     exact subset of the grammar it emits — the same round-trip
-    discipline as {!Obs_export}'s folded-stack and Prometheus
-    validators, so the CI artifact is checked before it is uploaded.
+    discipline as {!Obs_export}'s folded-stack validator, so the CI artifact is checked before it is uploaded.
 
     One run, one [tool.driver] (cslint) carrying the rule table, one
     [result] per finding. Columns are converted from cslint's 0-based

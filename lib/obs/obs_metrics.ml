@@ -281,105 +281,6 @@ let snapshot t =
     snap_histograms = !hists;
   }
 
-let snapshot_to_json s =
-  Jsonx.Obj
-    [
-      ( "counters",
-        Jsonx.Obj (List.map (fun (n, c) -> (n, Jsonx.Int c)) s.snap_counters) );
-      ( "gauges",
-        Jsonx.Obj (List.map (fun (n, g) -> (n, Jsonx.Float g)) s.snap_gauges) );
-      ( "histograms",
-        Jsonx.Obj
-          (List.map
-             (fun (n, h) ->
-               ( n,
-                 Jsonx.Obj
-                   [
-                     ("n", Jsonx.Int h.hs_count);
-                     ("sum", Jsonx.Float h.hs_sum);
-                     ("mean", Jsonx.Float h.hs_mean);
-                     ("min", Jsonx.Float h.hs_min);
-                     ("max", Jsonx.Float h.hs_max);
-                     ("p50", Jsonx.Float h.hs_p50);
-                     ("p95", Jsonx.Float h.hs_p95);
-                     ("p99", Jsonx.Float h.hs_p99);
-                   ] ))
-             s.snap_histograms) );
-    ]
-
-let snapshot_of_json j =
-  let ( let* ) = Result.bind in
-  let obj name =
-    match Jsonx.member name j with
-    | Some (Jsonx.Obj fields) -> Ok fields
-    | Some _ -> Error (Printf.sprintf "snapshot: %S is not an object" name)
-    | None -> Error (Printf.sprintf "snapshot: missing %S" name)
-  in
-  (* Non-finite floats serialize as JSON null; read them back as nan so
-     an empty histogram round-trips. *)
-  let num name h =
-    match Jsonx.member name h with
-    | Some Jsonx.Null -> Ok Float.nan
-    | Some v -> (
-        match Jsonx.get_float v with
-        | Some f -> Ok f
-        | None -> Error (Printf.sprintf "snapshot: %S is not a number" name))
-    | None -> Error (Printf.sprintf "snapshot: missing %S" name)
-  in
-  let* counters = obj "counters" in
-  let* gauges = obj "gauges" in
-  let* hists = obj "histograms" in
-  let* snap_counters =
-    List.fold_left
-      (fun acc (n, v) ->
-        let* acc = acc in
-        match Jsonx.get_int v with
-        | Some c -> Ok ((n, c) :: acc)
-        | None -> Error (Printf.sprintf "snapshot: counter %S not an int" n))
-      (Ok []) counters
-  in
-  let* snap_gauges =
-    List.fold_left
-      (fun acc (n, v) ->
-        let* acc = acc in
-        match v with
-        | Jsonx.Null -> Ok ((n, Float.nan) :: acc)
-        | _ -> (
-            match Jsonx.get_float v with
-            | Some g -> Ok ((n, g) :: acc)
-            | None ->
-                Error (Printf.sprintf "snapshot: gauge %S not a number" n)))
-      (Ok []) gauges
-  in
-  let* snap_histograms =
-    List.fold_left
-      (fun acc (n, v) ->
-        let* acc = acc in
-        let* hs_count =
-          match Option.bind (Jsonx.member "n" v) Jsonx.get_int with
-          | Some c -> Ok c
-          | None -> Error (Printf.sprintf "snapshot: histogram %S missing n" n)
-        in
-        let* hs_sum = num "sum" v in
-        let* hs_mean = num "mean" v in
-        let* hs_min = num "min" v in
-        let* hs_max = num "max" v in
-        let* hs_p50 = num "p50" v in
-        let* hs_p95 = num "p95" v in
-        let* hs_p99 = num "p99" v in
-        Ok
-          ((n, { hs_count; hs_sum; hs_mean; hs_min; hs_max; hs_p50; hs_p95;
-                 hs_p99 })
-          :: acc))
-      (Ok []) hists
-  in
-  Ok
-    {
-      snap_counters = List.rev snap_counters;
-      snap_gauges = List.rev snap_gauges;
-      snap_histograms = List.rev snap_histograms;
-    }
-
 let hist_summary_fields h =
   [
     ("n", Jsonx.Int h.h_count);

@@ -115,21 +115,11 @@ type snapshot = {
   snap_gauges : (string * float) list;
   snap_histograms : (string * hist_stats) list;
 }
-(** Immutable, name-sorted copy of a registry's state at one instant —
-    the unit {!Obs_snapshot} rings buffer and {!Obs_export.prometheus}
-    renders. *)
+(** Immutable, name-sorted copy of a registry's state at one instant. *)
 
 val snapshot : t -> snapshot
 (** Freeze the registry's current state. O(instruments); the registry
     keeps running. *)
-
-val snapshot_to_json : snapshot -> Jsonx.t
-(** Same shape as {!to_json} but with p95 instead of p90 (the cstrace
-    timeline vocabulary). *)
-
-val snapshot_of_json : Jsonx.t -> (snapshot, string) result
-(** Inverse of {!snapshot_to_json}; non-finite stats (serialized as
-    [null]) come back as [nan]. *)
 
 (** {1 Export} *)
 

@@ -244,49 +244,3 @@ let pp_divergence ppf d =
   match d.d_right with
   | Some ev -> Format.fprintf ppf "  right: %a@." Obs_event.pp ev
   | None -> Format.fprintf ppf "  right: <trace ended>@."
-
-(* ------------------------------------------------------------------ *)
-(* Metrics reconstruction                                             *)
-
-let metrics_of_events ?accuracy events =
-  let reg = Obs_metrics.create ?accuracy () in
-  let c name = Obs_metrics.counter reg name in
-  let h name = Obs_metrics.histogram reg name in
-  let episodes_started = c "trace.episodes_started" in
-  let episodes_finished = c "trace.episodes_finished" in
-  let periods_dispatched = c "trace.periods_dispatched" in
-  let periods_completed = c "trace.periods_completed" in
-  let periods_killed = c "trace.periods_killed" in
-  let period_length = h "trace.period_length" in
-  let episode_duration = h "trace.episode_duration" in
-  let banked_h = h "trace.banked" in
-  let overhead_h = h "trace.overhead" in
-  let pool_remaining = Obs_metrics.gauge reg "trace.pool_remaining" in
-  let starts : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  let feed (ev : Obs_event.t) =
-    match ev with
-      | Episode_started { time; ws; ep } ->
-          Obs_metrics.incr episodes_started;
-          Hashtbl.replace starts (ws, ep) time
-      | Episode_finished { time; ws; ep; _ } -> (
-          Obs_metrics.incr episodes_finished;
-          match Hashtbl.find_opt starts (ws, ep) with
-          | Some t0 -> Obs_metrics.observe episode_duration (time -. t0)
-          | None -> ())
-      | Period_dispatched { period; _ } ->
-          Obs_metrics.incr periods_dispatched;
-          Obs_metrics.observe period_length period
-      | Period_completed { banked; overhead; _ } ->
-          Obs_metrics.incr periods_completed;
-          Obs_metrics.observe banked_h banked;
-          Obs_metrics.observe overhead_h overhead
-      | Period_killed { overhead; _ } ->
-          Obs_metrics.incr periods_killed;
-          Obs_metrics.observe overhead_h overhead
-      | Pool_drained { remaining; _ } ->
-          Obs_metrics.set pool_remaining remaining
-      | Run_started _ | Plan_computed _ | Owner_returned _ | Run_finished _ ->
-        ()
-  in
-  List.iter feed events;
-  reg

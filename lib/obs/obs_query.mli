@@ -87,15 +87,3 @@ val diff :
 val pp_divergence : Format.formatter -> divergence -> unit
 (** Multi-line rendering: index, shared context, then the two sides
     (or [<trace ended>]). *)
-
-(** {1 Metrics reconstruction} *)
-
-val metrics_of_events : ?accuracy:float -> Obs_event.t list -> Obs_metrics.t
-(** Rebuild a registry from the event stream alone, under the [trace.*]
-    namespace: counters [trace.episodes_started], [trace.episodes_finished],
-    [trace.periods_dispatched], [trace.periods_completed],
-    [trace.periods_killed]; histograms [trace.period_length],
-    [trace.episode_duration], [trace.banked], [trace.overhead]; gauge
-    [trace.pool_remaining]. All values are simulation-time, so the
-    result is deterministic — unlike a live registry, which also times
-    wall-clock spans. [accuracy] as in {!Obs_metrics.create}. *)

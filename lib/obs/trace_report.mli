@@ -46,11 +46,10 @@ type t = {
 val of_events : Obs_event.t list -> t
 
 val load : string -> (t, string) result
-(** [load path] parses a JSONL trace file (blank lines ignored) and
-    aggregates it. A leading {!Obs_meta} provenance header, when
-    present, is validated and skipped; a malformed or
-    wrong-schema-version header is a load error. The error carries the
-    1-based line number of the first malformed line. *)
+(** [load path] is {!Obs_query.load} followed by {!of_events}: the same
+    parse and the same [file:line] errors (malformed lines, bad or
+    duplicate meta headers), with the provenance header dropped — the
+    summary is about the events. *)
 
 val kill_rate : t -> float
 (** Killed / (completed + killed); [0] when no period ever started. *)

@@ -10,7 +10,7 @@
    after the completion barrier — so the accounting is as race-free as
    the results. A per-chunk execution tripwire (one byte per chunk)
    turns any claim-protocol breakage into a counted
-   [chunk_order_violations], the invariant the health rules pin at 0. *)
+   [chunk_order_violations], which test_parallel pins at 0. *)
 
 type job = {
   j_fn : int -> unit;
@@ -109,11 +109,13 @@ let worker t dom =
   in
   loop 0
 
+let max_domains = 128
+
 let create ~domains =
-  if domains < 1 || domains > 128 then
+  if domains < 1 || domains > max_domains then
     invalid_arg
-      (Printf.sprintf "Domain_pool.create: domains must be in [1, 128] (got %d)"
-         domains);
+      (Printf.sprintf "Domain_pool.create: domains must be in [1, %d] (got %d)"
+         max_domains domains);
   let t =
     {
       n_domains = domains;

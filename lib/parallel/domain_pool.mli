@@ -44,9 +44,12 @@ type t
 (** A pool. One parallel operation may be in flight at a time; the pool
     survives exceptions in tasks and is reusable until {!shutdown}. *)
 
+val max_domains : int
+(** The largest pool {!create} accepts: 128. *)
+
 val create : domains:int -> t
 (** [create ~domains] spawns [domains - 1] worker domains (the caller is
-    the remaining worker). Requires [1 <= domains <= 128]. Call
+    the remaining worker). Requires [1 <= domains <= max_domains]. Call
     {!shutdown} when done — worker domains are not garbage-collected. *)
 
 val domains : t -> int

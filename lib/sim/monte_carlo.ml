@@ -16,8 +16,7 @@ let chunk_size = 512
 
 let n_chunks trials = (trials + chunk_size - 1) / chunk_size
 
-let estimate ?(obs = Obs.disabled) ?pool ?domains ?snapshot ?resource
-    ?(trials = 20_000) lf ~c ~schedule ~seed =
+let estimate ?(obs = Obs.disabled) ?pool ?domains ?(trials = 20_000) lf ~c ~schedule ~seed =
   if trials < 2 then
     invalid_arg
       (Printf.sprintf "Monte_carlo.estimate: trials must be >= 2, got %d"
@@ -70,32 +69,12 @@ let estimate ?(obs = Obs.disabled) ?pool ?domains ?snapshot ?resource
       Obs.span obs "mc.estimate" (fun () ->
           Domain_pool.run ?pool ?domains ?metrics:meter ~chunks run_chunk;
           (* Chunk-index order: child metrics, spans and buffered events
-             merge back identically for any domain count. Snapshots tick
-             at these serial merge boundaries, so the captured timeline
-             is equally domain-count independent — and resource samples
-             taken here are tick-counted, never wall-clock-driven. *)
+             merge back identically for any domain count. *)
           let merge_t0 = if accounting then Obs_clock.now () else 0.0 in
-          for k = 0 to chunks - 1 do
-            Obs_fork.gather_one obs kids k;
-            (match resource with
-            | None -> ()
-            | Some res -> Obs_resource.tick res);
-            match snapshot with
-            | None -> ()
-            | Some snap ->
-                Obs_snapshot.tick snap ~at:(Int.min trials ((k + 1) * chunk_size))
-          done;
+          Obs_fork.gather obs kids;
           if accounting then
             Domain_pool.note_merge ?pool ?metrics:meter
-              ~seconds:(Obs_clock.elapsed_since merge_t0) ();
-          (match resource with
-          | None -> ()
-          | Some res -> Obs_resource.sample res);
-          match snapshot with
-          | None -> ()
-          | Some snap ->
-              if Obs_snapshot.last_at snap <> Some trials then
-                Obs_snapshot.capture snap ~at:trials));
+              ~seconds:(Obs_clock.elapsed_since merge_t0) ()));
   if Obs.tracing obs then Obs.emit obs (Obs.Event.Run_finished { time = 0.0 });
   let overhead = Kahan.create () in
   let lost = Kahan.create () in

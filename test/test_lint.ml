@@ -191,26 +191,6 @@ let test_r8 () =
   check_rules "suppressed" []
     (lint "let now () = (Unix.time () [@lint.allow \"R8\"])\n")
 
-let test_r9 () =
-  check_rules "Gc.stat in lib" [ "R9" ]
-    (lint "let words () = (Gc.stat ()).Gc.heap_words\n");
-  check_rules "Gc.quick_stat in bin" [ "R9" ]
-    (lint ~path:"bin/fixture.ml"
-       "let minor () = (Gc.quick_stat ()).Gc.minor_words\n");
-  check_rules "Gc.counters in lib" [ "R9" ]
-    (lint "let c () = Gc.counters ()\n");
-  check_rules "obs_resource exempt" []
-    (lint ~path:"lib/obs/obs_resource.ml"
-       "let words () = (Gc.quick_stat ()).Gc.minor_words\n");
-  (* The rest of Gc stays available — only the stats probes are fenced. *)
-  check_rules "Gc.compact fine" [] (lint "let go () = Gc.compact ()\n");
-  check_rules "Gc.full_major fine" []
-    (lint "let go () = Gc.full_major ()\n");
-  check_rules "suppressed" []
-    (lint "let s () = (Gc.quick_stat () [@lint.allow \"R9\"])\n")
-
-(* ---- R14: no toplevel memo/cache state in lib/sched ---- *)
-
 let test_r14 () =
   let sched = "lib/sched/fixture.ml" in
   check_rules "toplevel Hashtbl in sched" [ "R14" ]
@@ -545,7 +525,7 @@ let test_rule_metadata_complete () =
   Alcotest.(check (list string))
     "rule ids"
     [
-      "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "R11";
+      "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R10"; "R11";
       "R12"; "R14"; "M1";
     ]
     (List.map (fun (m : Lint_rules.meta) -> m.id) Lint_rules.all_meta)
@@ -578,7 +558,6 @@ let () =
       ("r6", [ Alcotest.test_case "Obj escape hatches" `Quick test_r6 ]);
       ("r7", [ Alcotest.test_case "raw Domain.spawn" `Quick test_r7 ]);
       ("r8", [ Alcotest.test_case "wall-clock reads" `Quick test_r8 ]);
-      ("r9", [ Alcotest.test_case "direct Gc stats" `Quick test_r9 ]);
       ("r14", [ Alcotest.test_case "memo state fence" `Quick test_r14 ]);
       ("m1", [ Alcotest.test_case "unused allows" `Quick test_m1_unused_allow ]);
       ( "deep",

@@ -149,34 +149,6 @@ let test_publish_gauges () =
          Float.is_finite v && v >= 0.0))
     [ "pool.busy_seconds"; "pool.idle_seconds"; "pool.queue_wait_seconds" ]
 
-let test_resource_sampling_jobs_invariant () =
-  (* gc.samples counts chunk boundaries plus the final capture: the
-     chunk grid is fixed by trials alone (DESIGN.md §10) and the
-     sampler ticks in the serial gather loop on the caller, so the
-     count cannot depend on the domain count. 2048 trials = 4 chunks. *)
-  let samples jobs =
-    let m = Obs.Metrics.create () in
-    let res = Obs.Resource.create m in
-    let go pool =
-      ignore
-        (Monte_carlo.estimate
-           ~obs:(Obs.create ~metrics:m ())
-           ?pool ~resource:res ~trials:2048 uniform_lf ~c:1.0 ~schedule
-           ~seed:11L)
-    in
-    (match jobs with
-    | 1 -> go None
-    | n -> Domain_pool.with_pool ~domains:n (fun p -> go (Some p)));
-    ( List.assoc "gc.samples" (Obs.Metrics.snapshot m).Obs.Metrics.snap_counters,
-      Obs.Resource.samples res )
-  in
-  let c1, s1 = samples 1 in
-  let c3, s3 = samples 3 in
-  Alcotest.(check int) "counter = accessor (serial)" s1 c1;
-  Alcotest.(check int) "counter = accessor (pooled)" s3 c3;
-  Alcotest.(check int) "chunks + final capture" 5 c1;
-  Alcotest.(check int) "jobs-invariant" c1 c3
-
 (* ---- Prng.split_n: the chunk-stream grid ---- *)
 
 let test_split_n () =
@@ -392,8 +364,6 @@ let () =
           Alcotest.test_case "accounting invariants" `Quick
             test_utilization_accounting;
           Alcotest.test_case "published gauges" `Quick test_publish_gauges;
-          Alcotest.test_case "resource sampling jobs-invariant" `Quick
-            test_resource_sampling_jobs_invariant;
         ] );
       ("prng", [ Alcotest.test_case "split_n grid" `Quick test_split_n ]);
       ( "monte-carlo",

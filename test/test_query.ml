@@ -1,7 +1,6 @@
 (* The read side of the observability stack: meta headers, trace
-   loading/filtering/diffing (Obs_query), export format round-trips
-   (Obs_export folded stacks and Prometheus exposition), the snapshot
-   ring, and the Obs_fork gather edge cases. *)
+   loading/filtering/diffing (Obs_query), folded-stack round-trips
+   (Obs_export), and the Obs_fork gather edge cases. *)
 
 let with_temp_file suffix k =
   let path = Filename.temp_file "cs_query" suffix in
@@ -122,6 +121,23 @@ let test_load_headerless_and_bad_header () =
       (match Trace_report.load path with
       | Ok _ -> Alcotest.fail "Trace_report accepted wrong-schema header"
       | Error _ -> ());
+      (* A second meta header is corruption (two runs concatenated):
+         both loaders refuse it and name its line. *)
+      let header =
+        Jsonx.to_string (Obs_meta.to_json (Obs_meta.make ~git_sha:"x" ()))
+      in
+      write_file path ((header :: event_lines sample_events) @ [ header ]);
+      let at_dup = Printf.sprintf ":%d:" (List.length sample_events + 2) in
+      (match Obs_query.load path with
+      | Ok _ -> Alcotest.fail "Obs_query accepted a duplicate header"
+      | Error msg ->
+          Alcotest.(check bool) "Obs_query names the duplicate line" true
+            (contains_sub msg at_dup));
+      (match Trace_report.load path with
+      | Ok _ -> Alcotest.fail "Trace_report accepted a duplicate header"
+      | Error msg ->
+          Alcotest.(check bool) "Trace_report names the duplicate line" true
+            (contains_sub msg at_dup));
       (* A trailing truncation marker is not an event: both loaders
          refuse it and name its line. *)
       let lines =
@@ -271,186 +287,6 @@ let test_folded_rejects () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Prometheus exposition                                              *)
-
-let test_prometheus_roundtrip () =
-  let reg = Obs_metrics.create () in
-  Obs_metrics.add (Obs_metrics.counter reg "episode.runs") 3;
-  Obs_metrics.set (Obs_metrics.gauge reg "farm.pool_remaining") 12.5;
-  let h = Obs_metrics.histogram reg "episode.period_length" in
-  List.iter (Obs_metrics.observe h) [ 1.0; 2.0; 3.0; 4.0 ];
-  let lines = Obs_export.prometheus reg in
-  let samples = ok (Obs_export.validate_prometheus lines) in
-  (* counter + gauge + (3 quantiles + sum + count). *)
-  Alcotest.(check int) "samples" 7 samples;
-  Alcotest.(check bool) "counter line present" true
-    (List.mem "cs_episode_runs_total 3" lines);
-  Alcotest.(check bool) "gauge line present" true
-    (List.mem "cs_farm_pool_remaining 12.5" lines);
-  Alcotest.(check bool) "count line present" true
-    (List.mem "cs_episode_period_length_count 4" lines);
-  (* An empty histogram renders NaN quantiles that still validate. *)
-  let reg2 = Obs_metrics.create () in
-  ignore (Obs_metrics.histogram reg2 "empty.hist");
-  Alcotest.(check int) "empty histogram samples" 5
-    (ok (Obs_export.validate_prometheus (Obs_export.prometheus reg2)))
-
-let test_prometheus_rejects () =
-  List.iter
-    (fun (label, lines) ->
-      match Obs_export.validate_prometheus lines with
-      | Ok _ -> Alcotest.failf "accepted %s" label
-      | Error _ -> ())
-    [
-      ("sample without TYPE", [ "cs_x 1" ]);
-      ("bad metric name", [ "# TYPE 9bad counter"; "9bad 1" ]);
-      ( "unknown type",
-        [ "# TYPE cs_x matrix"; "cs_x 1" ] );
-      ("unparsable value", [ "# TYPE cs_x gauge"; "cs_x twelve" ]);
-      ("malformed comment", [ "# NOPE cs_x gauge" ]);
-      ( "bad label grammar",
-        [ "# TYPE cs_x summary"; "cs_x{quantile=0.5} 1" ] );
-    ]
-
-let test_prometheus_of_trace () =
-  let reg = Obs_query.metrics_of_events sample_events in
-  let lines = Obs_export.prometheus reg in
-  let _ = ok (Obs_export.validate_prometheus lines) in
-  Alcotest.(check bool) "periods dispatched counted" true
-    (List.mem "cs_trace_periods_dispatched_total 3" lines);
-  Alcotest.(check bool) "pool gauge absent without Pool_drained" true
-    (List.exists
-       (String.ends_with ~suffix:"pool_remaining NaN")
-       lines)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot ring                                                      *)
-
-let test_snapshot_ring () =
-  let reg = Obs_metrics.create () in
-  let c = Obs_metrics.counter reg "n" in
-  let snap = Obs_snapshot.create ~capacity:3 ~every:10 reg in
-  Obs_snapshot.tick snap ~at:5;
-  Alcotest.(check int) "below the mark" 0 (Obs_snapshot.captured snap);
-  Obs_metrics.incr c;
-  Obs_snapshot.tick snap ~at:10;
-  Obs_snapshot.tick snap ~at:12;
-  Alcotest.(check int) "one capture, then re-armed" 1
-    (Obs_snapshot.captured snap);
-  (* A tick that jumps several marks captures once. *)
-  Obs_metrics.incr c;
-  Obs_snapshot.tick snap ~at:47;
-  Alcotest.(check int) "coarse tick captures once" 2
-    (Obs_snapshot.captured snap);
-  Obs_snapshot.tick snap ~at:50;
-  Obs_snapshot.tick snap ~at:60;
-  Obs_snapshot.tick snap ~at:70;
-  Alcotest.(check int) "total captures" 5 (Obs_snapshot.captured snap);
-  Alcotest.(check int) "ring bound" 2 (Obs_snapshot.dropped snap);
-  let ats = List.map (fun e -> e.Obs_snapshot.at) (Obs_snapshot.entries snap) in
-  Alcotest.(check (list int)) "oldest evicted first" [ 50; 60; 70 ] ats;
-  Alcotest.(check bool) "last_at" true (Obs_snapshot.last_at snap = Some 70)
-
-let test_snapshot_jsonl_roundtrip () =
-  let reg = Obs_metrics.create () in
-  let c = Obs_metrics.counter reg "runs" in
-  let g = Obs_metrics.gauge reg "level" in
-  let h = Obs_metrics.histogram reg "len" in
-  let snap = Obs_snapshot.create ~every:1 reg in
-  Obs_metrics.incr c;
-  Obs_metrics.set g 3.25;
-  Obs_metrics.observe h 2.0;
-  Obs_snapshot.tick snap ~at:1;
-  Obs_metrics.incr c;
-  Obs_metrics.observe h 8.0;
-  Obs_snapshot.tick snap ~at:2;
-  with_temp_file ".jsonl" (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Obs_snapshot.write_jsonl snap oc);
-      let entries = ok (Obs_snapshot.load path) in
-      Alcotest.(check bool) "round-trips structurally" true
-        (entries = Obs_snapshot.entries snap))
-
-let test_snapshot_shard_headers () =
-  let reg = Obs_metrics.create () in
-  let c = Obs_metrics.counter reg "n" in
-  let snap = Obs_snapshot.create ~capacity:2 ~every:1 reg in
-  List.iter
-    (fun at ->
-      Obs_metrics.incr c;
-      Obs_snapshot.tick snap ~at)
-    [ 1; 2; 3 ];
-  Alcotest.(check int) "ring wrapped" 1 (Obs_snapshot.dropped snap);
-  let m = Obs_meta.make ~git_sha:"abcd" ~seed:9L ~scenario:"shard" () in
-  let count_metas path =
-    In_channel.(with_open_bin path input_all)
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> contains_sub l "\"type\":\"meta\"")
-    |> List.length
-  in
-  let write path snap =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> Obs_snapshot.write_jsonl ~meta:m snap oc)
-  in
-  with_temp_file ".jsonl" (fun path ->
-      write path snap;
-      (* A wrapped ring re-emits the header at the rotation boundary, so
-         splitting the file there yields two self-describing shards. *)
-      Alcotest.(check int) "header emitted at start and at the wrap" 2
-        (count_metas path);
-      let hdr, entries = ok (Obs_snapshot.load_with_meta path) in
-      Alcotest.(check bool) "first header surfaced" true (hdr = Some m);
-      Alcotest.(check bool) "entries survive the duplicated header" true
-        (entries = Obs_snapshot.entries snap);
-      Alcotest.(check bool) "load strips headers" true
-        (ok (Obs_snapshot.load path) = entries));
-  (* An unwrapped ring writes exactly one header. *)
-  let snap2 = Obs_snapshot.create ~capacity:8 ~every:1 reg in
-  Obs_snapshot.tick snap2 ~at:1;
-  with_temp_file ".jsonl" (fun path ->
-      write path snap2;
-      Alcotest.(check int) "single header when nothing was dropped" 1
-        (count_metas path))
-
-let test_snapshot_determinism_across_domains () =
-  let lf = Families.uniform ~lifespan:30.0 in
-  let plan = Guideline.plan lf ~c:1.0 in
-  let run domains =
-    let reg = Obs_metrics.create () in
-    let obs = Obs.create ~metrics:reg () in
-    let snap = Obs_snapshot.create ~every:600 reg in
-    let (_ : Monte_carlo.estimate) =
-      Monte_carlo.estimate ~obs ?domains ~snapshot:snap ~trials:2_000 lf
-        ~c:1.0 ~schedule:plan.Guideline.schedule ~seed:99L
-    in
-    Obs_snapshot.entries snap
-  in
-  let serial = run None and parallel = run (Some 2) in
-  let ats = List.map (fun e -> e.Obs_snapshot.at) in
-  Alcotest.(check (list int)) "same capture grid" (ats serial) (ats parallel);
-  Alcotest.(check bool) "final capture at trials" true
-    (List.exists (fun e -> e.Obs_snapshot.at = 2_000) serial);
-  (* Counters and sim-time histograms must agree bit-for-bit; wall-time
-     histograms (episode.elapsed) legitimately differ. *)
-  List.iter2
-    (fun (a : Obs_snapshot.entry) (b : Obs_snapshot.entry) ->
-      Alcotest.(check bool) "counters identical" true
-        (a.Obs_snapshot.metrics.Obs_metrics.snap_counters
-        = b.Obs_snapshot.metrics.Obs_metrics.snap_counters);
-      let period_length (s : Obs_metrics.snapshot) =
-        List.assoc_opt "episode.period_length"
-          s.Obs_metrics.snap_histograms
-      in
-      Alcotest.(check bool) "sim-time histogram identical" true
-        (period_length a.Obs_snapshot.metrics
-        = period_length b.Obs_snapshot.metrics))
-    serial parallel
-
-(* ------------------------------------------------------------------ *)
 (* Obs_fork gather edge cases                                         *)
 
 let test_gather_zero_event_chunks () =
@@ -543,27 +379,6 @@ let () =
           Alcotest.test_case "round-trip and chrome import" `Quick
             test_folded_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_folded_rejects;
-        ] );
-      ( "prometheus",
-        [
-          Alcotest.test_case "round-trip" `Quick test_prometheus_roundtrip;
-          Alcotest.test_case "malformed rejected" `Quick
-            test_prometheus_rejects;
-          Alcotest.test_case "from trace events" `Quick
-            test_prometheus_of_trace;
-        ] );
-      ( "snapshot",
-        [
-          Alcotest.test_case "ring semantics" `Quick test_snapshot_ring;
-          Alcotest.test_case "jsonl round-trip" `Quick
-            test_snapshot_jsonl_roundtrip;
-          Alcotest.test_case "deterministic across domains" `Quick
-            test_snapshot_determinism_across_domains;
-        ] );
-      ( "shards",
-        [
-          Alcotest.test_case "meta header re-emitted on wrap" `Quick
-            test_snapshot_shard_headers;
         ] );
       ( "fork",
         [
