@@ -23,6 +23,28 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Life-function selection flags                                      *)
 
+(* A real-valued flag that must be finite and positive. Every planner,
+   simulator and model entry point requires that of c, the family
+   parameters, the owner-model mean and the checkpoint and worst-case
+   quantities; rejecting anything else here makes it a usage error
+   naming the flag. NaN in particular passes the library's [x <= 0.0]
+   style checks and would surface as a hang, a NaN result or an
+   internal invariant message. *)
+let finite_positive what =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x && x > 0.0 -> Ok x
+    | Ok _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected a finite %s > 0" s
+               what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let overhead_conv = finite_positive "overhead c"
+
 type family_spec = {
   family : string;
   lifespan : float;
@@ -45,7 +67,8 @@ let family_term =
   in
   let lifespan =
     Arg.(
-      value & opt float 100.0
+      value
+      & opt (finite_positive "lifespan") 100.0
       & info [ "lifespan"; "L" ] ~docv:"L"
           ~doc:"Potential lifespan for bounded families.")
   in
@@ -57,7 +80,7 @@ let family_term =
   let rate =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (finite_positive "rate")) None
       & info [ "rate" ] ~docv:"R" ~doc:"Rate of the exponential family.")
   in
   let d =
@@ -68,12 +91,14 @@ let family_term =
   in
   let w_shape =
     Arg.(
-      value & opt float 2.0
+      value
+      & opt (finite_positive "shape") 2.0
       & info [ "shape" ] ~docv:"K" ~doc:"Weibull shape parameter.")
   in
   let w_scale =
     Arg.(
-      value & opt float 50.0
+      value
+      & opt (finite_positive "scale") 50.0
       & info [ "scale" ] ~docv:"S" ~doc:"Weibull scale parameter.")
   in
   Term.(
@@ -81,43 +106,38 @@ let family_term =
         { family; lifespan; a; rate; d; w_shape; w_scale })
     $ family $ lifespan $ a $ rate $ d $ w_shape $ w_scale)
 
+(* The family constructors validate their parameters (for example
+   geo-dec's a > 1) and probe the result; a refusal is an error naming
+   the family, not an uncaught exception. *)
 let resolve_family spec =
-  match spec.family with
-  | "uniform" -> Ok (Families.uniform ~lifespan:spec.lifespan)
-  | "polynomial" | "poly" ->
-      Ok (Families.polynomial ~d:spec.d ~lifespan:spec.lifespan)
-  | "geo-dec" | "geometric-decreasing" ->
-      Ok (Families.geometric_decreasing ~a:spec.a)
-  | "geo-inc" | "geometric-increasing" ->
-      Ok (Families.geometric_increasing ~lifespan:spec.lifespan)
-  | "exponential" | "exp" ->
-      let rate = Option.value spec.rate ~default:(1.0 /. spec.lifespan) in
-      Ok (Families.exponential ~rate)
-  | "weibull" -> Ok (Families.weibull ~shape:spec.w_shape ~scale:spec.w_scale)
-  | "power-law" -> Ok (Families.power_law ~d:(float_of_int spec.d))
-  | other ->
-      Error
-        (Printf.sprintf
-           "unknown family %S (valid: uniform | polynomial | geo-dec | \
-            geo-inc | exponential | weibull | power-law)"
-           other)
-
-(* Every planner and simulator entry point requires a finite c > 0;
-   rejecting anything else here keeps their internal invariant
-   messages (e.g. from the t0 search over a nan bracket) away from the
-   user. *)
-let overhead_conv =
-  let parse s =
-    match Arg.conv_parser Arg.float s with
-    | Ok c when Float.is_finite c && c > 0.0 -> Ok c
-    | Ok _ ->
+  match
+    match spec.family with
+    | "uniform" -> Ok (Families.uniform ~lifespan:spec.lifespan)
+    | "polynomial" | "poly" ->
+        Ok (Families.polynomial ~d:spec.d ~lifespan:spec.lifespan)
+    | "geo-dec" | "geometric-decreasing" ->
+        Ok (Families.geometric_decreasing ~a:spec.a)
+    | "geo-inc" | "geometric-increasing" ->
+        Ok (Families.geometric_increasing ~lifespan:spec.lifespan)
+    | "exponential" | "exp" ->
+        let rate = Option.value spec.rate ~default:(1.0 /. spec.lifespan) in
+        Ok (Families.exponential ~rate)
+    | "weibull" ->
+        Ok (Families.weibull ~shape:spec.w_shape ~scale:spec.w_scale)
+    | "power-law" -> Ok (Families.power_law ~d:(float_of_int spec.d))
+    | other ->
         Error
-          (`Msg
-            (Printf.sprintf
-               "invalid value '%s', expected a finite overhead c > 0" s))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer Arg.float)
+          (Printf.sprintf
+             "unknown family %S (valid: uniform | polynomial | geo-dec | \
+              geo-inc | exponential | weibull | power-law)"
+             other)
+  with
+  | r -> r
+  | exception (Life_function.Invalid_life_function msg | Invalid_argument msg)
+    ->
+      Error
+        (Printf.sprintf "error: the %s family rejects these parameters: %s"
+           spec.family msg)
 
 (* A lower-bounded count flag. The library entry points check the same
    bounds; refusing a bad value here makes it a usage error naming the
@@ -497,7 +517,8 @@ let fit_cmd =
   in
   let mean =
     Arg.(
-      value & opt float 40.0
+      value
+      & opt (finite_positive "mean") 40.0
       & info [ "mean" ] ~docv:"M" ~doc:"Mean absence (model parameter).")
   in
   let samples =
@@ -565,17 +586,20 @@ let fit_cmd =
 let checkpoint_cmd =
   let work =
     Arg.(
-      value & opt float 720.0
+      value
+      & opt (finite_positive "work") 720.0
       & info [ "work" ] ~docv:"W" ~doc:"Total computation to complete.")
   in
   let mtbf =
     Arg.(
-      value & opt float 240.0
+      value
+      & opt (finite_positive "mtbf") 240.0
       & info [ "mtbf" ] ~docv:"T" ~doc:"Mean time between failures.")
   in
   let restart =
     Arg.(
-      value & opt float 10.0
+      value
+      & opt (finite_positive "restart cost") 10.0
       & info [ "restart" ] ~docv:"R" ~doc:"Restart cost after a failure.")
   in
   let seed =
@@ -615,20 +639,37 @@ let checkpoint_cmd =
 let worst_case_cmd =
   let horizon =
     Arg.(
-      value & opt float 100.0
+      value
+      & opt (finite_positive "horizon") 100.0
       & info [ "horizon" ] ~docv:"H"
           ~doc:"Latest adversarial kill time designed for.")
   in
   let grace =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (finite_positive "grace")) None
       & info [ "grace" ] ~docv:"G"
           ~doc:"Warm-up before the guarantee applies (default 5c).")
   in
   let run c horizon grace =
+    (* Worst_case.plan requires c < grace < horizon; checking it here
+       names the flag, in with_family's style. *)
+    let grace_flag, grace =
+      match grace with
+      | Some g -> ("--grace", g)
+      | None -> ("the default --grace 5c =", 5.0 *. c)
+    in
+    if not (c < grace) then begin
+      Printf.eprintf "error: %s %g must exceed -c %g\n" grace_flag grace c;
+      exit 2
+    end;
+    if not (grace < horizon) then begin
+      Printf.eprintf "error: --horizon %g must exceed %s %g\n" horizon
+        grace_flag grace;
+      exit 2
+    end;
     try
-      let w = Worst_case.plan ?grace ~c ~horizon () in
+      let w = Worst_case.plan ~grace ~c ~horizon () in
       Format.printf "schedule : %a@." Schedule.pp w.Worst_case.schedule;
       Format.printf
         "guarantee: for every kill time t in [%.4g, %.4g], banked work >= \

@@ -25,8 +25,8 @@ val plan_saves :
 (** [plan_saves p ~c] derives the guideline checkpoint plan for failure
     survival [p] and save cost [c]. With [?work] the plan is truncated once
     the committed (productive) time covers [work]; the final interval is
-    shortened to fit exactly. Requires [0 < c < horizon p]; [work > 0]
-    when given.
+    shortened to fit exactly. Requires [0 < c < horizon p]; [work] finite
+    and [> 0] when given.
     @raise Invalid_argument otherwise. *)
 
 type sim_result = {

@@ -30,7 +30,12 @@ let scope_of_path path : Lint_rules.scope =
     is_prng = ends_with_any [ "numerics/prng.ml"; "numerics/prng.mli" ] n;
     in_parallel = under "parallel" n;
     is_clock = ends_with_any [ "obs/obs_clock.ml"; "obs/obs_clock.mli" ] n;
-    in_sched = under "lib" n && under "sched" n;
+    in_core =
+      under "lib" n
+      && List.exists
+           (fun d -> under d n)
+           [ "sched"; "numerics"; "lifefn"; "workload" ];
+    in_obs = under "lib" n && under "obs" n;
   }
 
 let finding_of_raw file (r : Lint_rules.raw) : Lint_finding.t =
@@ -43,9 +48,8 @@ let finding_of_raw file (r : Lint_rules.raw) : Lint_finding.t =
     message = r.r_msg;
   }
 
-type parsed = Impl of Parsetree.structure | Intf of Parsetree.signature
-
-let parse_source ~path content =
+let check_source ~path content =
+  let scope = scope_of_path path in
   let lexbuf = Lexing.from_string content in
   Lexing.set_filename lexbuf path;
   let fail exn =
@@ -59,17 +63,11 @@ let parse_source ~path content =
   if Filename.check_suffix path ".mli" then
     match Parse.interface lexbuf with
     | exception exn -> fail exn
-    | sg -> Ok (Intf sg)
+    | sg -> Ok (Lint_rules.check_signature scope sg)
   else
     match Parse.implementation lexbuf with
     | exception exn -> fail exn
-    | str -> Ok (Impl str)
-
-let check_parsed ~path parsed =
-  let scope = scope_of_path path in
-  match parsed with
-  | Impl str -> Lint_rules.check_structure scope str
-  | Intf sg -> Lint_rules.check_signature scope sg
+    | str -> Ok (Lint_rules.check_structure scope str)
 
 (* Match raws against allow spans; every matching allow is marked used
    so the M1 pass can report the rest as stale. *)
@@ -93,14 +91,11 @@ let apply_allows allows (used : bool array) raws =
     raws;
   (List.rev !kept, !dropped)
 
-let unused_allow_findings ~deep path allows (used : bool array) =
+let unused_allow_findings path allows (used : bool array) =
   let out = ref [] in
   List.iteri
     (fun i (a : Lint_rules.allow_span) ->
-      if
-        (not used.(i))
-        && (deep || not (List.mem a.a_rule Lint_rules.deep_rule_ids))
-      then
+      if not used.(i) then
         let p = a.a_loc.Location.loc_start in
         out :=
           {
@@ -119,15 +114,14 @@ let unused_allow_findings ~deep path allows (used : bool array) =
   List.rev !out
 
 let lint_source ~path content =
-  match parse_source ~path content with
+  match check_source ~path content with
   | Error _ as e -> e
-  | Ok parsed ->
-      let raws, allows = check_parsed ~path parsed in
+  | Ok (raws, allows) ->
       let used = Array.make (List.length allows) false in
       let kept, dropped = apply_allows allows used raws in
       let findings =
         List.map (finding_of_raw path) kept
-        @ unused_allow_findings ~deep:false path allows used
+        @ unused_allow_findings path allows used
       in
       Ok
         {
@@ -190,125 +184,37 @@ let collect_files paths =
     else if Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli"
     then out := p :: !out
   in
-  List.iter
-    (fun p -> if Sys.file_exists p then walk p else ())
-    paths;
+  List.iter walk (List.filter Sys.file_exists paths);
   List.sort_uniq String.compare (List.map normalize !out)
-
-type options = {
-  deep : bool;
-  manifest_path : string option;
-  warn_unused_allows : bool;
-}
-
-let default_options =
-  { deep = false; manifest_path = None; warn_unused_allows = false }
 
 type result = {
   all_findings : Lint_finding.t list;
-  warnings : Lint_finding.t list;
   total_suppressed : int;
   errors : string list;
-  effect_signatures : Lint_effects.module_sig list;
 }
 
-let run ?(options = default_options) paths =
+let run paths =
+  (* A path that does not exist is an error, not an empty file set: a
+     renamed directory must not quietly drop out of the lint run. *)
+  let errors =
+    ref
+      (List.rev_map
+         (fun p -> p ^ ": No such file or directory")
+         (List.filter (fun p -> not (Sys.file_exists p)) paths))
+  in
   let files = collect_files paths in
-  let errors = ref [] in
-  (* One parse per file, shared by the shallow rules and the deep
-     interprocedural pass. *)
-  let parsed =
-    List.filter_map
-      (fun f ->
-        match In_channel.with_open_bin f In_channel.input_all with
-        | exception Sys_error e ->
-            errors := e :: !errors;
-            None
-        | content -> (
-            match parse_source ~path:f content with
-            | Ok ast -> Some (f, ast)
-            | Error e ->
-                errors := e :: !errors;
-                None))
-      files
-  in
-  let checked =
-    List.map
-      (fun (path, ast) ->
-        let raws, allows = check_parsed ~path ast in
-        (path, raws, allows, Array.make (List.length allows) false))
-      parsed
-  in
-  let deep_by_file = Hashtbl.create 16 in
-  let effect_signatures =
-    if not options.deep then []
-    else begin
-      let impls =
-        List.filter_map
-          (fun (p, ast) ->
-            match ast with Impl str -> Some (p, str) | Intf _ -> None)
-          parsed
-      in
-      let graph = Lint_callgraph.build impls in
-      let table = Lint_effects.infer graph in
-      let manifest, manifest_path =
-        match options.manifest_path with
-        | None -> (Lint_deep.No_manifest_check, ".cseffects")
-        | Some p ->
-            if not (Sys.file_exists p) then (Lint_deep.Manifest_missing, p)
-            else (
-              match Lint_manifest.load p with
-              | Ok entries -> (Lint_deep.Manifest entries, p)
-              | Error e ->
-                  errors := e :: !errors;
-                  (Lint_deep.No_manifest_check, p))
-      in
-      List.iter
-        (fun (file, r) ->
-          let prev =
-            match Hashtbl.find_opt deep_by_file file with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace deep_by_file file (r :: prev))
-        (Lint_deep.run table ~manifest ~manifest_path);
-      Lint_effects.signatures table
-    end
-  in
-  let findings = ref [] in
-  let warnings = ref [] in
+  let findings = ref [ missing_mli_findings files ] in
   let suppressed = ref 0 in
-  let consumed = Hashtbl.create 16 in
   List.iter
-    (fun (path, raws, allows, used) ->
-      let deep_raws =
-        match Hashtbl.find_opt deep_by_file path with
-        | Some l ->
-            Hashtbl.replace consumed path ();
-            List.rev l
-        | None -> []
-      in
-      let kept, dropped = apply_allows allows used (raws @ deep_raws) in
-      suppressed := !suppressed + dropped;
-      findings := List.map (finding_of_raw path) kept :: !findings;
-      let m1 =
-        unused_allow_findings ~deep:options.deep path allows used
-      in
-      if options.warn_unused_allows then warnings := m1 @ !warnings
-      else findings := m1 :: !findings)
-    checked;
-  (* Deep findings on files with no parsed AST: the manifest itself
-     (stale entries) — nothing to suppress against. *)
-  Hashtbl.iter
-    (fun file raws ->
-      if not (Hashtbl.mem consumed file) then
-        findings := List.map (finding_of_raw file) (List.rev raws) :: !findings)
-    deep_by_file;
-  findings := [ missing_mli_findings files ] @ !findings;
+    (fun f ->
+      match lint_file f with
+      | Ok r ->
+          findings := r.findings :: !findings;
+          suppressed := !suppressed + r.suppressed
+      | Error e -> errors := e :: !errors)
+    files;
   {
     all_findings = List.sort Lint_finding.compare (List.concat !findings);
-    warnings = List.sort Lint_finding.compare !warnings;
     total_suppressed = !suppressed;
     errors = List.rev !errors;
-    effect_signatures;
   }

@@ -5,7 +5,8 @@ type scope = {
   is_prng : bool;
   in_parallel : bool;
   is_clock : bool;
-  in_sched : bool;
+  in_core : bool;
+  in_obs : bool;
 }
 
 type meta = { id : string; title : string; remedy : string }
@@ -62,49 +63,26 @@ let all_meta =
       id = "R10";
       title =
         "planning core (lib/sched, lib/numerics, lib/lifefn, lib/workload) \
-         is effect-free apart from domain (deep)";
+         references no io primitive or Gc probe";
       remedy =
-        "route instrumentation through the ?obs seam; hoist clock, random, \
-         io and shared mutation out of the planning core";
-    };
-    {
-      id = "R11";
-      title =
-        "closures passed to Domain_pool.run/map/map_reduce/parallel_for \
-         capture no toplevel mutable state (deep)";
-      remedy =
-        "pass state through chunk-local arguments and merge the results on \
-         the caller, as Obs_fork.scatter/gather does";
-    };
-    {
-      id = "R12";
-      title =
-        "each lib module's inferred effect signature matches the committed \
-         .cseffects manifest (deep)";
-      remedy =
-        "review the drift, then re-lock with cslint --deep --write-effects";
+        "route instrumentation through the ?obs seam and return values to \
+         the caller; io and runtime probes belong in bin/, bench/ or lib/obs";
     };
     {
       id = "R14";
       title =
-        "no toplevel mutable memo/cache state (Hashtbl, Atomic, ref) in \
-         lib/sched";
+        "no toplevel mutable state (Hashtbl, Atomic, ref, Buffer, Queue, \
+         Stack) in lib/ outside lib/obs";
       remedy =
-        "hold the state in an explicit handle the caller passes; the \
-         planning core stays pure (R10) and bit-reproducible";
+        "hold the state in an explicit handle the caller passes; chunk \
+         closures then capture none, and the library stays bit-reproducible";
     };
     {
       id = "M1";
       title = "no unused [@lint.allow] suppression";
-      remedy =
-        "delete the stale attribute, or pass --allow-unused-allows to \
-         downgrade the report to a warning";
+      remedy = "delete the stale attribute";
     };
   ]
-
-(* Rules only the interprocedural pass can fire; in a shallow run an
-   unmatched allow naming one of these is not stale, just out of scope. *)
-let deep_rule_ids = [ "R10"; "R11"; "R12" ]
 
 open Parsetree
 
@@ -167,6 +145,89 @@ let lib_printers =
     "print_float";
   ]
 
+(* R10's primitives: what the planning core must not reach for. Clock
+   reads (R8), Random (R3), Domain.spawn (R7) and the ambient printers R4
+   already reports are left to those rules. The fprintf family writes to
+   a channel or formatter the caller passes, so it is not listed: the
+   effect belongs to whoever supplied the channel. *)
+let io_idents =
+  [
+    "print_string"; "print_endline"; "print_newline"; "print_char";
+    "print_int"; "print_float"; "print_bytes"; "prerr_string";
+    "prerr_endline"; "prerr_newline"; "prerr_char"; "prerr_int";
+    "prerr_float"; "prerr_bytes"; "read_line"; "read_int"; "read_int_opt";
+    "read_float"; "read_float_opt"; "input_line"; "input_char";
+    "input_byte"; "input_value"; "really_input"; "really_input_string";
+    "output_string"; "output_char"; "output_byte"; "output_value";
+    "output_bytes"; "output_substring"; "open_in"; "open_in_bin";
+    "open_out"; "open_out_bin"; "close_in"; "close_out"; "flush";
+    "flush_all"; "stdin"; "stdout"; "stderr"; "exit"; "at_exit";
+  ]
+
+let sys_io =
+  [
+    "command"; "getenv"; "getenv_opt"; "file_exists"; "is_directory";
+    "is_regular_file"; "readdir"; "remove"; "rename"; "getcwd"; "chdir";
+    "mkdir"; "rmdir"; "set_signal"; "signal";
+  ]
+
+let gc_probes =
+  [
+    "stat"; "quick_stat"; "counters"; "minor_words"; "major"; "minor";
+    "full_major"; "major_slice"; "compact"; "set"; "create_alarm";
+    "delete_alarm"; "finalise"; "finalise_last";
+  ]
+
+(* [bound x] holds when [x] is pattern-bound anywhere in the file: an
+   unqualified [flush] is then the file's own, not [Stdlib.flush]. *)
+let core_primitive ~bound lid =
+  let io = Some "an io primitive" in
+  match lid with
+  | Longident.Lident x ->
+      if List.mem x io_idents && not (List.mem x lib_printers || bound x)
+      then io
+      else None
+  | Longident.Ldot (Longident.Lident m, f) -> (
+      match (m, f) with
+      | "Unix", ("gettimeofday" | "time") -> None
+      | ("In_channel" | "Out_channel" | "Unix"), _ -> io
+      | "Stdlib", x when List.mem x io_idents -> io
+      | ("Printf" | "Format"), "eprintf" -> io
+      | "Sys", p when List.mem p sys_io -> io
+      | ( "Filename",
+          ("temp_file" | "open_temp_file" | "temp_dir" | "set_temp_dir_name")
+        ) ->
+          io
+      | "Marshal", ("to_channel" | "from_channel") -> io
+      | "Scanf", ("scanf" | "kscanf") -> io
+      | "Gc", p when List.mem p gc_probes -> Some "a Gc probe"
+      | _ -> None)
+  | _ ->
+      if List.mem (longident_head lid) [ "In_channel"; "Out_channel"; "Unix" ]
+      then io
+      else None
+
+(* Every name a pattern binds anywhere in [str]. The approximation is
+   file-wide rather than scope-exact: a local [flush] also hides a
+   stdlib [flush] called elsewhere in the same file. *)
+let bound_names str =
+  let tbl = Hashtbl.create 64 in
+  let default = Ast_iterator.default_iterator in
+  let iter =
+    {
+      default with
+      pat =
+        (fun it p ->
+          (match p.ppat_desc with
+          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
+              Hashtbl.replace tbl txt ()
+          | _ -> ());
+          default.pat it p);
+    }
+  in
+  iter.structure iter str;
+  Hashtbl.mem tbl
+
 (* Rules of the [@lint.allow "R2"] payload: one string constant naming one
    or more rule ids, separated by spaces or commas. *)
 let allow_payload_rules = function
@@ -190,7 +251,7 @@ let allow_payload_rules = function
       if rules = [] then None else Some rules
   | _ -> None
 
-let make_checker (scope : scope) =
+let make_checker ~bound (scope : scope) =
   let findings = ref [] in
   let allows = ref [] in
   let report rule loc msg =
@@ -258,6 +319,16 @@ let make_checker (scope : scope) =
     (if (not scope.is_prng) && String.equal (longident_head lid) "Random" then
        report "R3" loc
          "stdlib Random breaks reproducibility; thread an explicit Prng.t");
+    (if scope.in_core then
+       match core_primitive ~bound lid with
+       | Some what ->
+           report "R10" loc
+             (Printf.sprintf
+                "%s is %s in the planning core; route instrumentation \
+                 through the ?obs seam or return values to the caller"
+                (String.concat "." (Longident.flatten lid))
+                what)
+       | None -> ());
     if scope.in_lib then
       match lid with
       | Longident.Lident p when List.mem p lib_printers ->
@@ -329,10 +400,11 @@ let make_checker (scope : scope) =
         | _ -> ())
     | _ -> ()
   in
-  (* R14: a structure-level binding in lib/sched whose right-hand side
-     allocates a Hashtbl, an Atomic or a ref outside any function body is
-     module-lifetime mutable state — memoization smuggled into the pure
-     planning core. The scan descends only through constructors that
+  (* R14: a structure-level binding in lib/ (outside lib/obs) whose
+     right-hand side allocates a Hashtbl, an Atomic, a ref, a Buffer, a
+     Queue or a Stack outside any function body is module-lifetime mutable
+     state — memoization smuggled into the library, or state a
+     Domain_pool closure could capture. The scan descends only through constructors that
      evaluate at module init (let/sequence/tuple/record/construct/if/
      apply arguments...); anything else — in particular function and lazy
      bodies, whose allocations are per-call — is skipped, so the local
@@ -348,6 +420,10 @@ let make_checker (scope : scope) =
           | Longident.Ldot (Longident.Lident "Atomic", "make") ->
               Some "Atomic.make"
           | Longident.Lident "ref" -> Some "ref"
+          | Longident.Ldot
+              (Longident.Lident (("Buffer" | "Queue" | "Stack") as m), "create")
+            ->
+              Some (m ^ ".create")
           | _ -> None)
       | _ -> None
     in
@@ -355,9 +431,8 @@ let make_checker (scope : scope) =
     | Some what ->
         report "R14" e.pexp_loc
           (Printf.sprintf
-             "toplevel %s allocates module-lifetime mutable state in \
-              lib/sched; hold the state in an explicit handle the caller \
-              passes"
+             "toplevel %s allocates module-lifetime mutable state in lib/; \
+              hold the state in an explicit handle the caller passes"
              what)
     | None -> ());
     match e.pexp_desc with
@@ -383,7 +458,7 @@ let make_checker (scope : scope) =
     | _ -> ()
   in
   let r14_check_structure str =
-    if scope.in_sched then
+    if scope.in_lib && not scope.in_obs then
       List.iter
         (fun si ->
           match si.pstr_desc with
@@ -493,12 +568,12 @@ let make_checker (scope : scope) =
 
 let check_structure (scope : scope) (str : structure) :
     raw list * allow_span list =
-  let findings, allows, iter = make_checker scope in
+  let findings, allows, iter = make_checker ~bound:(bound_names str) scope in
   iter.structure iter str;
   (!findings, !allows)
 
 let check_signature (scope : scope) (sg : signature) :
     raw list * allow_span list =
-  let findings, allows, iter = make_checker scope in
+  let findings, allows, iter = make_checker ~bound:(fun _ -> false) scope in
   iter.signature iter sg;
   (!findings, !allows)

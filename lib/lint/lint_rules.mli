@@ -3,10 +3,12 @@
     Each rule enforces one of the repository's numerical-correctness or
     determinism invariants (see DESIGN.md §8). The checks are purely
     syntactic — the linter runs on unparsed source without type
-    information — so they are scoped to the patterns that matter:
-    comparisons against float literals or float-arithmetic expressions,
-    the [x := !x +. e] accumulation idiom, and module paths rooted at
-    [Random] / [Obj]. *)
+    information — and per-file: every finding sits in the file whose
+    AST shows the offending node. They are scoped to the patterns that
+    matter: comparisons against float literals or float-arithmetic
+    expressions, the [x := !x +. e] accumulation idiom, module paths
+    rooted at [Random] / [Obj], io and Gc primitives in the planning
+    core, and toplevel mutable allocations in [lib/]. *)
 
 type scope = {
   file : string;  (** Path as reported in findings. *)
@@ -15,20 +17,18 @@ type scope = {
   is_prng : bool;  (** [lib/numerics/prng.ml] itself: exempt from R3. *)
   in_parallel : bool;  (** Under [lib/parallel/]: exempt from R7. *)
   is_clock : bool;  (** [lib/obs/obs_clock.ml] itself: exempt from R8. *)
-  in_sched : bool;  (** Under [lib/sched/]: R14 applies. *)
+  in_core : bool;
+      (** Under [lib/sched/], [lib/numerics/], [lib/lifefn/] or
+          [lib/workload/]: R10 applies. *)
+  in_obs : bool;  (** Under [lib/obs/]: exempt from R14. *)
 }
 
 type meta = { id : string; title : string; remedy : string }
 
 val all_meta : meta list
-(** One entry per rule, in id order (R1–R8, R10–R12, R14, then the M-series
+(** One entry per rule, in id order (R1–R8, R10, R14, then the M-series
     meta-rules); used by [cslint --rules] and kept in sync with
-    DESIGN.md §8 and §13. *)
-
-val deep_rule_ids : string list
-(** Rules only [cslint --deep]'s interprocedural pass can fire (R10,
-    R11, R12). A shallow run does not report allows naming these as
-    unused (M1) — it never looked. *)
+    DESIGN.md §8. *)
 
 type raw = {
   r_rule : string;

@@ -74,8 +74,8 @@ let geometric_schedule ~horizon ~t0 ~factor =
 let plan ?(polish = true) ?grace ~c ~horizon () =
   let grace = match grace with Some g -> g | None -> 5.0 *. c in
   if not (grace > c) then invalid_arg "Worst_case.plan: grace must exceed c";
-  if not (horizon > grace) then
-    invalid_arg "Worst_case.plan: horizon must exceed grace";
+  if not (Float.is_finite horizon && horizon > grace) then
+    invalid_arg "Worst_case.plan: horizon must be finite and exceed grace";
   let eval t0 factor =
     if t0 <= 0.0 || t0 > horizon then neg_infinity
     else

@@ -52,4 +52,5 @@ val plan : ?polish:bool -> ?grace:float -> c:float -> horizon:float -> unit -> t
 (** [plan ~c ~horizon ()] maximises the competitive ratio over geometric
     schedules (grid + refine over [(t0, γ)]), then (when [polish], default
     [true]) runs coordinate ascent directly on the period vector. [grace]
-    defaults to [5c]. Requires [c < grace < horizon]. *)
+    defaults to [5c]. Requires [c < grace < horizon] with [horizon]
+    finite. @raise Invalid_argument otherwise. *)

@@ -14,7 +14,8 @@ type model =
 let rec sample model g =
   match model with
   | Exponential_absence { mean } ->
-      if mean <= 0.0 then invalid_arg "Owner_model: mean must be > 0";
+      if not (Float.is_finite mean && mean > 0.0) then
+        invalid_arg "Owner_model: mean must be finite and > 0";
       Prng.exponential g ~rate:(1.0 /. mean)
   | Uniform_absence { max } ->
       if max <= 0.0 then invalid_arg "Owner_model: max must be > 0";

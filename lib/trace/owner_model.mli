@@ -34,7 +34,9 @@ type model =
       (** Mixture of brief daytime absences and long overnight ones. *)
 
 val sample : model -> Prng.t -> float
-(** [sample m g] draws one absence duration (always [> 0]). *)
+(** [sample m g] draws one absence duration (always [> 0]). An
+    exponential mean (also the day-night means) must be finite and
+    [> 0]. @raise Invalid_argument otherwise. *)
 
 val collect :
   ?censor_at:float -> model -> Prng.t -> n:int -> observation array

@@ -27,9 +27,13 @@ let test_plan_validation () =
   (match Checkpoint.plan_saves lf ~c:0.0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "c = 0 accepted");
-  match Checkpoint.plan_saves ~work:(-5.0) lf ~c with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative work accepted"
+  (* NaN passes an [x <= 0.0] guard and an infinite job never finishes. *)
+  List.iter
+    (fun work ->
+      match Checkpoint.plan_saves ~work lf ~c with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "work = %g accepted" work)
+    [ -5.0; Float.nan; Float.infinity ]
 
 let test_expected_committed_per_attempt () =
   let e = Checkpoint.expected_committed_per_attempt ~work:10.0 ~c lf in
@@ -69,13 +73,16 @@ let test_simulate_failure_free_when_reliable () =
   Alcotest.(check (float 1e-6)) "no work lost" 0.0 r.Checkpoint.work_lost_total
 
 let test_simulate_validation () =
-  let g = Prng.create ~seed:1L in
-  match
-    Checkpoint.simulate_restarts ~work:0.0 ~c ~restart_cost:1.0 lf g
-      ~max_failures:1
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "zero work accepted"
+  List.iter
+    (fun (work, restart_cost) ->
+      let g = Prng.create ~seed:1L in
+      match
+        Checkpoint.simulate_restarts ~work ~c ~restart_cost lf g
+          ~max_failures:1
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "work = %g, restart = %g accepted" work restart_cost)
+    [ (0.0, 1.0); (Float.nan, 1.0); (Float.infinity, 1.0); (10.0, Float.nan) ]
 
 let test_more_failures_longer_makespan () =
   (* Averaged over seeds, a flakier machine takes longer. *)

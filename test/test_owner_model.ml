@@ -107,9 +107,13 @@ let test_true_life_functions () =
 
 let test_sample_validation () =
   let rng = g () in
-  (match Owner_model.sample (Owner_model.Exponential_absence { mean = 0.0 }) rng with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mean = 0 accepted");
+  (* NaN passes an [x <= 0.0] guard; the mean must be finite and > 0. *)
+  List.iter
+    (fun mean ->
+      match Owner_model.sample (Owner_model.Exponential_absence { mean }) rng with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "mean = %g accepted" mean)
+    [ 0.0; Float.nan; Float.infinity ];
   match
     Owner_model.sample
       (Owner_model.Day_night { short_mean = 1.0; long_mean = 2.0; long_fraction = 1.5 })

@@ -96,9 +96,17 @@ let test_plan_validation () =
   (match Worst_case.plan ~c ~horizon:4.0 ~grace:5.0 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "horizon <= grace accepted");
-  match Worst_case.plan ~c ~horizon:10.0 ~grace:0.5 () with
+  (match Worst_case.plan ~c ~horizon:10.0 ~grace:0.5 () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "grace <= c accepted"
+  | _ -> Alcotest.fail "grace <= c accepted");
+  (* An infinite horizon passes [horizon > grace], and the geometric
+     schedule would never cover it. *)
+  List.iter
+    (fun horizon ->
+      match Worst_case.plan ~c ~horizon () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "horizon = %g accepted" horizon)
+    [ Float.infinity; Float.nan ]
 
 let prop_sampled_infimum_matches_exact =
   QCheck.Test.make
