@@ -8,7 +8,6 @@
      csctl table     --family uniform --c-min 0.5 --c-max 4 --steps 8
      csctl admissible --family power-law --d 2 -c 1
      csctl fit       --model exponential --mean 40 --samples 1000 -c 1
-     csctl checkpoint --work 720 --mtbf 240 -c 1.5
      csctl profile   --family uniform -c 1 --out trace.json
 
    [schedule], [simulate] and [compare] accept --trace FILE (write a
@@ -25,11 +24,11 @@ open Cmdliner
 
 (* A real-valued flag that must be finite and positive. Every planner,
    simulator and model entry point requires that of c, the family
-   parameters, the owner-model mean and the checkpoint and worst-case
-   quantities; rejecting anything else here makes it a usage error
-   naming the flag. NaN in particular passes the library's [x <= 0.0]
-   style checks and would surface as a hang, a NaN result or an
-   internal invariant message. *)
+   parameters, the owner-model mean and the worst-case quantities;
+   rejecting anything else here makes it a usage error naming the flag.
+   NaN in particular passes the library's [x <= 0.0] style checks and
+   would surface as a hang, a NaN result or an internal invariant
+   message. *)
 let finite_positive what =
   let parse s =
     match Arg.conv_parser Arg.float s with
@@ -581,59 +580,6 @@ let fit_cmd =
     Term.(const run $ c_term $ model $ mean $ samples $ seed)
 
 (* ------------------------------------------------------------------ *)
-(* checkpoint                                                          *)
-
-let checkpoint_cmd =
-  let work =
-    Arg.(
-      value
-      & opt (finite_positive "work") 720.0
-      & info [ "work" ] ~docv:"W" ~doc:"Total computation to complete.")
-  in
-  let mtbf =
-    Arg.(
-      value
-      & opt (finite_positive "mtbf") 240.0
-      & info [ "mtbf" ] ~docv:"T" ~doc:"Mean time between failures.")
-  in
-  let restart =
-    Arg.(
-      value
-      & opt (finite_positive "restart cost") 10.0
-      & info [ "restart" ] ~docv:"R" ~doc:"Restart cost after a failure.")
-  in
-  let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
-  let run c work mtbf restart seed =
-    try
-      let life = Families.exponential ~rate:(1.0 /. mtbf) in
-      let plan = Checkpoint.plan_saves ~work life ~c in
-      Format.printf "checkpoint every %.4f (first interval); %d intervals@."
-        (Schedule.period plan.Checkpoint.intervals 0)
-        (Schedule.num_periods plan.Checkpoint.intervals);
-      Format.printf "expected committed before first failure: %.3f@."
-        plan.Checkpoint.expected_committed;
-      let g = Prng.create ~seed:(Int64.of_int seed) in
-      let r =
-        Checkpoint.simulate_restarts ~work ~c ~restart_cost:restart life g
-          ~max_failures:1_000_000
-      in
-      Format.printf
-        "one simulated run: makespan %.1f, %d failures, %.1f recomputed, %d \
-         checkpoints written@."
-        r.Checkpoint.makespan r.Checkpoint.failures r.Checkpoint.work_lost_total
-        r.Checkpoint.checkpoints_written
-    with Invalid_argument msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 1
-  in
-  Cmd.v
-    (Cmd.info "checkpoint"
-       ~doc:"Plan and simulate checkpointing for a fault-prone computation.")
-    Term.(const run $ c_term $ work $ mtbf $ restart $ seed)
-
-(* ------------------------------------------------------------------ *)
 (* worst-case                                                           *)
 
 let worst_case_cmd =
@@ -820,7 +766,6 @@ let () =
             table_cmd;
             admissible_cmd;
             fit_cmd;
-            checkpoint_cmd;
             worst_case_cmd;
             distribution_cmd;
             profile_cmd;

@@ -9,11 +9,12 @@
 let () =
   let c = 1.0 in
 
-  (* The workload: a 24x24-block matrix product, ~1.05 min per block. *)
-  let tasks = Apps.matrix_blocks ~n:24 ~block:64 ~flop_time:2e-6 in
-  let total = Task.total_duration tasks in
-  Format.printf "Workload: %d block-multiply tasks, %.1f min total@."
-    (List.length tasks) total;
+  (* The workload: a 24x24-block matrix product of 64x64 blocks, each
+     2*64^3 flops at 2e-6 min per flop, ~1.05 min per block. *)
+  let tasks = 24 * 24 in
+  let total = float_of_int tasks *. (2.0 *. Float.pow 64.0 3.0 *. 2e-6) in
+  Format.printf "Workload: %d block-multiply tasks, %.1f min total@." tasks
+    total;
 
   (* The fleet: one predictable owner (uniform), one memoryless owner
      (geometric-decreasing), one coffee-breaker (geometric-increasing). *)

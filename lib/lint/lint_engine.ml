@@ -34,7 +34,7 @@ let scope_of_path path : Lint_rules.scope =
       under "lib" n
       && List.exists
            (fun d -> under d n)
-           [ "sched"; "numerics"; "lifefn"; "workload" ];
+           [ "sched"; "numerics"; "lifefn" ];
     in_obs = under "lib" n && under "obs" n;
   }
 

@@ -62,8 +62,8 @@ let all_meta =
     {
       id = "R10";
       title =
-        "planning core (lib/sched, lib/numerics, lib/lifefn, lib/workload) \
-         references no io primitive or Gc probe";
+        "planning core (lib/sched, lib/numerics, lib/lifefn) references no \
+         io primitive or Gc probe";
       remedy =
         "route instrumentation through the ?obs seam and return values to \
          the caller; io and runtime probes belong in bin/, bench/ or lib/obs";

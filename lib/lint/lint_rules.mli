@@ -18,8 +18,8 @@ type scope = {
   in_parallel : bool;  (** Under [lib/parallel/]: exempt from R7. *)
   is_clock : bool;  (** [lib/obs/obs_clock.ml] itself: exempt from R8. *)
   in_core : bool;
-      (** Under [lib/sched/], [lib/numerics/], [lib/lifefn/] or
-          [lib/workload/]: R10 applies. *)
+      (** Under [lib/sched/], [lib/numerics/] or [lib/lifefn/]: R10
+          applies. *)
   in_obs : bool;  (** Under [lib/obs/]: exempt from R14. *)
 }
 

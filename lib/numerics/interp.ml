@@ -1,10 +1,7 @@
 exception Bad_grid of string
 
-type kind =
-  | Linear
-  | Pchip of float array (* knot derivatives d.(i) *)
-
-type t = { xs : float array; ys : float array; kind : kind }
+(* [d.(i)] is the Hermite tangent at knot [i]. *)
+type t = { xs : float array; ys : float array; d : float array }
 
 let validate ~xs ~ys =
   let n = Array.length xs in
@@ -18,10 +15,6 @@ let validate ~xs ~ys =
            (Printf.sprintf "Interp: grid not strictly increasing at index %d"
               i))
   done
-
-let linear ~xs ~ys =
-  validate ~xs ~ys;
-  { xs = Array.copy xs; ys = Array.copy ys; kind = Linear }
 
 (* Fritsch–Carlson (1980) monotone cubic Hermite tangents. *)
 let pchip_tangents xs ys =
@@ -59,7 +52,7 @@ let pchip_tangents xs ys =
 let pchip ~xs ~ys =
   validate ~xs ~ys;
   let xs = Array.copy xs and ys = Array.copy ys in
-  { xs; ys; kind = Pchip (pchip_tangents xs ys) }
+  { xs; ys; d = pchip_tangents xs ys }
 
 (* Index of the segment containing x: largest i with xs.(i) <= x, clamped to
    [0, n-2] so that boundary segments extrapolate. *)
@@ -79,36 +72,30 @@ let segment t x =
 let eval t x =
   let i = segment t x in
   let x0 = t.xs.(i) and x1 = t.xs.(i + 1) in
-  let y0 = t.ys.(i) and y1 = t.ys.(i + 1) in
-  match t.kind with
-  | Linear -> y0 +. ((y1 -. y0) *. (x -. x0) /. (x1 -. x0))
-  | Pchip d ->
-      let h = x1 -. x0 in
-      let s = (x -. x0) /. h in
-      let s2 = s *. s in
-      let s3 = s2 *. s in
-      let h00 = (2.0 *. s3) -. (3.0 *. s2) +. 1.0 in
-      let h10 = s3 -. (2.0 *. s2) +. s in
-      let h01 = (-2.0 *. s3) +. (3.0 *. s2) in
-      let h11 = s3 -. s2 in
-      (h00 *. y0) +. (h10 *. h *. d.(i)) +. (h01 *. y1) +. (h11 *. h *. d.(i + 1))
+  let y0 = t.ys.(i) and y1 = t.ys.(i + 1) and d = t.d in
+  let h = x1 -. x0 in
+  let s = (x -. x0) /. h in
+  let s2 = s *. s in
+  let s3 = s2 *. s in
+  let h00 = (2.0 *. s3) -. (3.0 *. s2) +. 1.0 in
+  let h10 = s3 -. (2.0 *. s2) +. s in
+  let h01 = (-2.0 *. s3) +. (3.0 *. s2) in
+  let h11 = s3 -. s2 in
+  (h00 *. y0) +. (h10 *. h *. d.(i)) +. (h01 *. y1) +. (h11 *. h *. d.(i + 1))
 
 let derivative t x =
   let i = segment t x in
   let x0 = t.xs.(i) and x1 = t.xs.(i + 1) in
-  let y0 = t.ys.(i) and y1 = t.ys.(i + 1) in
-  match t.kind with
-  | Linear -> (y1 -. y0) /. (x1 -. x0)
-  | Pchip d ->
-      let h = x1 -. x0 in
-      let s = (x -. x0) /. h in
-      let s2 = s *. s in
-      let dh00 = ((6.0 *. s2) -. (6.0 *. s)) /. h in
-      let dh10 = ((3.0 *. s2) -. (4.0 *. s) +. 1.0) /. h in
-      let dh01 = ((-6.0 *. s2) +. (6.0 *. s)) /. h in
-      let dh11 = ((3.0 *. s2) -. (2.0 *. s)) /. h in
-      (dh00 *. y0) +. (dh10 *. h *. d.(i)) +. (dh01 *. y1)
-      +. (dh11 *. h *. d.(i + 1))
+  let y0 = t.ys.(i) and y1 = t.ys.(i + 1) and d = t.d in
+  let h = x1 -. x0 in
+  let s = (x -. x0) /. h in
+  let s2 = s *. s in
+  let dh00 = ((6.0 *. s2) -. (6.0 *. s)) /. h in
+  let dh10 = ((3.0 *. s2) -. (4.0 *. s) +. 1.0) /. h in
+  let dh01 = ((-6.0 *. s2) +. (6.0 *. s)) /. h in
+  let dh11 = ((3.0 *. s2) -. (2.0 *. s)) /. h in
+  (dh00 *. y0) +. (dh10 *. h *. d.(i)) +. (dh01 *. y1)
+  +. (dh11 *. h *. d.(i + 1))
 
 let domain t = (t.xs.(0), t.xs.(Array.length t.xs - 1))
 

@@ -10,29 +10,21 @@ type t
 (** An interpolant over a fixed strictly-increasing knot grid. *)
 
 exception Bad_grid of string
-(** Raised by constructors on unsorted, duplicated or too-short grids. *)
-
-val linear : xs:float array -> ys:float array -> t
-(** [linear ~xs ~ys] is the piecewise-linear interpolant through the points
-    [(xs.(i), ys.(i))]. Requires [xs] strictly increasing and arrays of equal
-    length >= 2.
-    @raise Bad_grid otherwise. *)
+(** Raised by {!pchip} on unsorted, duplicated or too-short grids. *)
 
 val pchip : xs:float array -> ys:float array -> t
 (** [pchip ~xs ~ys] is the Fritsch–Carlson monotone piecewise-cubic Hermite
     interpolant: C¹, and monotone on every interval where the data are.
-    Requirements as for {!linear}.
+    Requires [xs] strictly increasing and arrays of equal length >= 2.
     @raise Bad_grid otherwise. *)
 
 val eval : t -> float -> float
 (** [eval ip x] evaluates the interpolant. Outside the grid, the boundary
-    segment is extrapolated (linearly for {!linear}; by the boundary cubic
-    for {!pchip}); callers who need clamping should compose with
+    cubic is extrapolated; callers who need clamping should compose with
     {!val-domain}. *)
 
 val derivative : t -> float -> float
-(** [derivative ip x] is the exact derivative of the interpolant at [x]
-    (piecewise-constant for {!linear}). *)
+(** [derivative ip x] is the exact derivative of the interpolant at [x]. *)
 
 val domain : t -> float * float
 (** [domain ip] is the [(min, max)] of the knot grid. *)

@@ -18,11 +18,6 @@ let sum a =
   Array.iter (add acc) a;
   total acc
 
-let sum_seq s =
-  let acc = create () in
-  Seq.iter (add acc) s;
-  total acc
-
 let sum_list l =
   let acc = create () in
   List.iter (add acc) l;

@@ -23,8 +23,6 @@ let create ~seed =
   let s3 = splitmix64 st in
   { s0; s1; s2; s3 }
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
-
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -83,8 +81,6 @@ let int g ~bound =
     if r >= limit then draw () else Int64.to_int (Int64.rem r b)
   in
   draw ()
-
-let bool g = Int64.compare (next_int64 g) 0L < 0
 
 let exponential g ~rate =
   if rate <= 0.0 then invalid_arg "Prng.exponential: requires rate > 0";

@@ -14,9 +14,6 @@ val create : seed:int64 -> t
 (** [create ~seed] builds a generator whose 256-bit state is expanded from
     [seed] with splitmix64. Any seed, including [0L], is valid. *)
 
-val copy : t -> t
-(** [copy g] is an independent generator starting from [g]'s current state. *)
-
 val split : t -> t
 (** [split g] advances [g] and returns a child generator seeded from fresh
     output of [g]; child and parent streams do not overlap in practice. *)
@@ -40,9 +37,6 @@ val float_range : t -> lo:float -> hi:float -> float
 val int : t -> bound:int -> int
 (** [int g ~bound] is uniform on [{0, ..., bound-1}] without modulo bias.
     Requires [bound > 0]. *)
-
-val bool : t -> bool
-(** [bool g] is a fair coin flip. *)
 
 val exponential : t -> rate:float -> float
 (** [exponential g ~rate] samples Exp(rate) by inversion.

@@ -39,6 +39,10 @@ let load path =
            with End_of_file -> ());
           match !err with
           | Some msg -> Error msg
+          | None when !meta = None && !events = [] ->
+              (* Every trace csctl writes opens with a meta header, so a
+                 file with neither is truncated or not a trace. *)
+              Error (path ^ ": empty trace (no meta header and no events)")
           | None -> Ok { path; meta = !meta; events = List.rev !events })
 
 (* ------------------------------------------------------------------ *)

@@ -22,7 +22,8 @@ val load : string -> (trace, string) result
 (** Parse a JSONL trace. Blank lines are skipped; a leading meta header
     is validated ({!Obs_meta.of_json}) and surfaced; malformed lines,
     bad headers and duplicate headers are errors with [file:line]
-    positions. *)
+    positions. A file with neither a meta header nor any event (empty,
+    or only blank lines) is an error naming the file. *)
 
 (** {1 Filtering} *)
 

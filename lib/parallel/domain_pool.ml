@@ -239,22 +239,6 @@ let parallel_for t ~chunks fn =
     reraise_first_failure job
   end
 
-let map t ~chunks f =
-  if chunks < 0 then invalid_arg "Domain_pool.map: chunks must be >= 0";
-  if chunks = 0 then [||]
-  else begin
-    let slots = Array.make chunks None in
-    parallel_for t ~chunks (fun i -> slots.(i) <- Some (f i));
-    Array.map
-      (function
-        | Some v -> v
-        | None -> invalid_arg "Domain_pool.map: chunk produced no result")
-      slots
-  end
-
-let map_reduce t ~chunks ~map:f ~reduce ~init =
-  Array.fold_left reduce init (map t ~chunks f)
-
 let shutdown t =
   Mutex.lock t.mutex;
   if t.shutting_down then Mutex.unlock t.mutex
@@ -286,21 +270,6 @@ let utilization t =
 let runs t = t.u_runs
 let chunk_order_violations t = t.u_violations
 let merge_seconds t = Kahan.total t.u_merge
-let add_merge_seconds t s = Kahan.add t.u_merge s
-
-let pp_utilization ppf t =
-  Array.iter
-    (fun d ->
-      Format.fprintf ppf
-        "domain %d: %d chunk(s), busy %.6fs, idle %.6fs, wait %.6fs%s@."
-        d.d_domain d.d_chunks d.d_busy_s d.d_idle_s d.d_queue_wait_s
-        (if d.d_domain = 0 then Printf.sprintf ", merge %.6fs" d.d_merge_s
-         else ""))
-    (utilization t);
-  Format.fprintf ppf
-    "pool: %d domain(s), %d run(s), %d chunk-order violation(s)@." t.n_domains
-    t.u_runs t.u_violations
-
 (* --- obs metrics bridge ------------------------------------------- *)
 
 (* All pool series are gauges, never counters or histograms: their

@@ -1,16 +1,16 @@
 (** A fixed-size pool of OCaml 5 domains with a deterministic
-    map-reduce discipline.
+    chunk-grid discipline.
 
     The repository's parallelism contract (DESIGN.md §10) is that
     {e results are bit-identical for any domain count}. The pool supplies
     the execution half of that contract: callers split work into a fixed
     {e chunk grid} whose geometry depends only on the problem size (never
     on the domain count), each chunk computes an independent partial
-    result (with its own {!Prng} stream where randomness is involved),
-    and {!map_reduce} folds the partials {e on the calling domain, in
-    chunk-index order}. Which domain executed which chunk — and in what
-    interleaving — then cannot influence a single bit of the answer; it
-    only influences wall time.
+    result (with its own {!Prng} stream where randomness is involved)
+    into a preallocated slot, and the caller folds the partials {e on the
+    calling domain, in chunk-index order}. Which domain executed which
+    chunk — and in what interleaving — then cannot influence a single bit
+    of the answer; it only influences wall time.
 
     Chunks are claimed dynamically (an atomic counter), so uneven chunk
     costs load-balance automatically. The caller participates in chunk
@@ -70,18 +70,6 @@ val parallel_for : t -> chunks:int -> (int -> unit) -> unit
     Nested or concurrent [parallel_for] calls on the same pool are a
     programming error and raise [Invalid_argument]. *)
 
-val map : t -> chunks:int -> (int -> 'a) -> 'a array
-(** [map t ~chunks f] is [[| f 0; ...; f (chunks - 1) |]] computed on
-    the pool. Exception semantics as {!parallel_for}. *)
-
-val map_reduce :
-  t -> chunks:int -> map:(int -> 'a) -> reduce:('b -> 'a -> 'b) -> init:'b -> 'b
-(** [map_reduce t ~chunks ~map ~reduce ~init] computes every [map i] on
-    the pool, then folds [reduce] over the results {e in chunk-index
-    order on the calling domain}: deterministic in the domain count by
-    construction, including for non-associative reductions such as
-    compensated float sums. *)
-
 val shutdown : t -> unit
 (** Join and release the worker domains. Idempotent. Using the pool
     after shutdown raises [Invalid_argument]. *)
@@ -135,9 +123,6 @@ val chunk_order_violations : t -> int
 val merge_seconds : t -> float
 (** Total caller-side merge time recorded via {!note_merge}. *)
 
-val add_merge_seconds : t -> float -> unit
-(** Low-level accumulator behind {!note_merge}. *)
-
 val note_merge :
   ?pool:t -> ?metrics:Obs_metrics.t -> seconds:float -> unit -> unit
 (** Record [seconds] of caller-side merge/gather time: added to the
@@ -154,6 +139,3 @@ val publish : t -> Obs_metrics.t -> unit
     [pool.chunk_order_violations] gauges with the pool's cumulative
     totals (domains summed). Idempotent; call after any batch of
     jobs. *)
-
-val pp_utilization : Format.formatter -> t -> unit
-(** Human-readable per-domain table plus a pool summary line. *)

@@ -17,8 +17,6 @@ let poly_t0_lower ~d ~c ~lifespan = poly_scale ~d ~c ~lifespan
 
 let poly_t0_upper ~d ~c ~lifespan = (2.0 *. poly_scale ~d ~c ~lifespan) +. 1.0
 
-let uniform_next_period ~t_prev ~c = t_prev -. c
-
 let uniform_t0_lower ~c ~lifespan = sqrt (c *. lifespan)
 
 let uniform_t0_upper ~c ~lifespan = (2.0 *. sqrt (c *. lifespan)) +. 1.0

@@ -20,9 +20,6 @@ val poly_t0_upper : d:int -> c:float -> lifespan:float -> float
 
 (** {1 Uniform risk [p(t) = 1 − t/L] (d = 1 case; §4.1, eqs. 4.4–4.5)} *)
 
-val uniform_next_period : t_prev:float -> c:float -> float
-(** Eq. 4.1: [t_k = t_{k−1} − c] — identical to [3]'s optimal recurrence. *)
-
 val uniform_t0_lower : c:float -> lifespan:float -> float
 (** [sqrt(cL)] (eq. 4.4, left). *)
 

@@ -34,5 +34,3 @@ let quantize lf ~c ~task s =
 let efficiency q =
   if q.continuous_expected_work <= 0.0 then 1.0
   else q.expected_work /. q.continuous_expected_work
-
-let tasks_capacity q ~task = float_of_int q.total_tasks *. task

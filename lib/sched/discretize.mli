@@ -30,7 +30,3 @@ val efficiency : t -> float
     [[0, 1]] up to rounding benefits (shorter periods complete earlier, so
     values slightly above 1 are possible when rounding down helps).
     Returns [1.0] when the continuous expected work is 0. *)
-
-val tasks_capacity : t -> task:float -> float
-(** [tasks_capacity q ~task] is the total task time scheduled,
-    [Σ w_k·τ] — the discrete counterpart of {!Schedule.work_capacity}. *)

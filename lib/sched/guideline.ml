@@ -19,16 +19,6 @@ let evaluate ?(obs = Obs.disabled) lf ~c ~t0 =
       in
       (g, ew))
 
-let plan_with_t0 lf ~c ~t0 =
-  let g, ew = evaluate lf ~c ~t0 in
-  {
-    schedule = g.Recurrence.schedule;
-    t0;
-    expected_work = ew;
-    bracket = (t0, t0);
-    stop = g.Recurrence.stop;
-  }
-
 let plan ?(obs = Obs.disabled) lf ~c =
   let compute () =
     (* The guideline's three phases, each its own span: Thm 3.2/3.3

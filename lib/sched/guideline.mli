@@ -57,11 +57,6 @@ val plan_batch :
     [plan.guideline_calls] count unique scenarios and the profile groups
     per-scenario [guideline.plan] spans. *)
 
-val plan_with_t0 : Life_function.t -> c:float -> t0:float -> result
-(** [plan_with_t0 p ~c ~t0] skips the search and generates from a caller-
-    chosen initial period — used when comparing specific [t_0] choices
-    (e.g. the closed-form §4 values) under the same machinery. *)
-
 val plan_risk_averse : lambda_:float -> Life_function.t -> c:float -> result
 (** [plan_risk_averse ~lambda_ p ~c] searches the same Theorem 3.2/3.3
     bracket and recurrence family as {!plan}, but scores each candidate

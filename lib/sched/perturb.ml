@@ -1,14 +1,3 @@
-let shift s ~k ~delta =
-  let ts = Schedule.periods s in
-  if k < 0 || k >= Array.length ts then
-    invalid_arg "Perturb.shift: index out of range";
-  let t' = ts.(k) +. delta in
-  if t' <= 0.0 then None
-  else begin
-    ts.(k) <- t';
-    Some (Schedule.of_periods ts)
-  end
-
 let perturb s ~k ~delta =
   let ts = Schedule.periods s in
   if k < 0 || k + 1 >= Array.length ts then
@@ -28,15 +17,19 @@ let default_deltas s =
   let tmin = Array.fold_left Float.min ts.(0) ts in
   Array.map (fun f -> f *. tmin) [| 0.001; 0.01; 0.05; 0.25 |]
 
-let sweep ~make ~min_period lf ~c s deltas ~k_limit =
+let perturbation_margin ?deltas ?(min_period = 0.0) lf ~c s =
+  let n = Schedule.num_periods s in
+  if n < 2 then
+    invalid_arg "Perturb.perturbation_margin: need at least 2 periods";
+  let deltas = match deltas with Some d -> d | None -> default_deltas s in
   let e0 = Schedule.expected_work ~c lf s in
   let worst = ref { worst_delta = 0.0; worst_k = -1; margin = infinity } in
-  for k = 0 to k_limit - 1 do
+  for k = 0 to n - 2 do
     Array.iter
       (fun d ->
         List.iter
           (fun delta ->
-            match make s ~k ~delta with
+            match perturb s ~k ~delta with
             | None -> ()
             | Some s' ->
                 let admissible =
@@ -52,15 +45,3 @@ let sweep ~make ~min_period lf ~c s deltas ~k_limit =
   done;
   if !worst.worst_k < 0 then { worst_delta = 0.0; worst_k = 0; margin = 0.0 }
   else !worst
-
-let perturbation_margin ?deltas ?(min_period = 0.0) lf ~c s =
-  let n = Schedule.num_periods s in
-  if n < 2 then
-    invalid_arg "Perturb.perturbation_margin: need at least 2 periods";
-  let deltas = match deltas with Some d -> d | None -> default_deltas s in
-  sweep ~make:perturb ~min_period lf ~c s deltas ~k_limit:(n - 1)
-
-let shift_margin ?deltas lf ~c s =
-  let n = Schedule.num_periods s in
-  let deltas = match deltas with Some d -> d | None -> default_deltas s in
-  sweep ~make:shift ~min_period:0.0 lf ~c s deltas ~k_limit:n

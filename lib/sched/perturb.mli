@@ -1,18 +1,10 @@
-(** Shifts and perturbations of schedules — the proof machinery of
-    Theorems 3.1 and 5.1, made executable.
+(** Perturbations of schedules — the proof machinery of Theorem 5.1, made
+    executable.
 
-    A [⟨k, ±δ⟩]-shift lengthens or shortens period [k] alone (changing the
-    schedule's total duration); a [[k, ±δ]]-perturbation moves [δ] between
-    periods [k] and [k+1] (preserving total duration). Theorem 3.1 derives
-    the recurrence by showing optimal schedules beat all shifts; Theorem 5.1
-    shows schedules satisfying the recurrence beat all perturbations when
-    [p] is concave. The test suite and experiment E7 verify both claims on
-    generated schedules. *)
-
-val shift : Schedule.t -> k:int -> delta:float -> Schedule.t option
-(** [shift s ~k ~delta] is [S^⟨k,+δ⟩] (or [S^⟨k,−δ⟩] for negative
-    [delta]): period [k] becomes [t_k + delta]. [None] if the new period
-    would be nonpositive. @raise Invalid_argument if [k] is out of range. *)
+    A [[k, ±δ]]-perturbation moves [δ] between periods [k] and [k+1]
+    (preserving total duration). Theorem 5.1 shows schedules satisfying the
+    recurrence beat all perturbations when [p] is concave. The test suite
+    and experiment E7 verify the claim on generated schedules. *)
 
 val perturb : Schedule.t -> k:int -> delta:float -> Schedule.t option
 (** [perturb s ~k ~delta] is [S^[k,+δ]] (negative [delta] gives
@@ -43,8 +35,3 @@ val perturbation_margin :
     [~min_period:c] (as {!Theory.local_optimality_check} does) to restrict
     the sweep to the theorem's domain; the default [0.] sweeps all valid
     schedules. *)
-
-val shift_margin :
-  ?deltas:float array -> Life_function.t -> c:float -> Schedule.t -> margin
-(** [shift_margin p ~c s] is the same sweep over [⟨k, ±δ⟩]-shifts — the
-    empirical Theorem 3.1 optimality precondition. *)

@@ -44,12 +44,6 @@ let expected_work ~c lf s =
     s.periods;
   Kahan.total acc
 
-let expected_work_detail ~c lf s =
-  Array.mapi
-    (fun i t ->
-      (t, s.ends.(i), positive_sub t c *. Life_function.eval lf s.ends.(i)))
-    s.periods
-
 (* Proposition 2.1: merge every unproductive period (length <= c) into its
    successor. The merged period ends at the same instant the successor did
    and carries strictly more productive time, so E can only improve. The
@@ -76,21 +70,6 @@ let is_productive ~c s =
     if s.periods.(i) <= c then ok := false
   done;
   !ok && n > 0
-
-let truncate_after s ~duration =
-  let n = Array.length s.periods in
-  let keep = ref 0 in
-  (* ends is increasing: count the prefix of periods completing in time. *)
-  while !keep < n && s.ends.(!keep) <= duration do
-    incr keep
-  done;
-  if !keep = 0 then None
-  else Some (build (Array.sub s.periods 0 !keep))
-
-let append s t =
-  if not (Float.is_finite t) || t <= 0.0 then
-    raise (Invalid_schedule (Printf.sprintf "Schedule.append: period %g" t));
-  build (Array.append s.periods [| t |])
 
 let equal ?(tol = 1e-9) s1 s2 =
   Array.length s1.periods = Array.length s2.periods

@@ -52,12 +52,6 @@ val expected_work : c:float -> Life_function.t -> t -> float
 (** [expected_work ~c p s] is the paper's objective (eq. 2.1), computed with
     compensated summation. Requires [c >= 0]. *)
 
-val expected_work_detail :
-  c:float -> Life_function.t -> t -> (float * float * float) array
-(** [expected_work_detail ~c p s] returns per-period rows
-    [(t_i, T_i, (t_i ⊖ c)·p(T_i))] — the summands of {!expected_work} —
-    for reporting and debugging. *)
-
 val productive_normal_form : c:float -> t -> t
 (** [productive_normal_form ~c s] applies the Proposition 2.1
     transformation: every period of length [<= c] (which can complete no
@@ -70,14 +64,6 @@ val productive_normal_form : c:float -> t -> t
 val is_productive : c:float -> t -> bool
 (** [is_productive ~c s] checks the Proposition 2.1 normal form: all periods
     strictly exceed [c], except possibly the last. *)
-
-val truncate_after : t -> duration:float -> t option
-(** [truncate_after s ~duration] keeps the maximal prefix of periods that
-    complete within [duration]; [None] if even the first period does not. *)
-
-val append : t -> float -> t
-(** [append s t] extends the schedule with one final period of length [t].
-    @raise Invalid_schedule if [t <= 0] or not finite. *)
 
 val equal : ?tol:float -> t -> t -> bool
 (** Period-wise comparison within absolute tolerance [tol] (default 1e-9). *)

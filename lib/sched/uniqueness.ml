@@ -55,8 +55,3 @@ let probe ?(samples = 512) ?(rel_tol = 1e-4) lf ~c =
     vs;
   flush ();
   { clusters = List.rev !clusters; max_value; samples; rel_tol }
-
-let unique ?samples ?rel_tol lf ~c =
-  match (probe ?samples ?rel_tol lf ~c).clusters with
-  | [ _ ] -> true
-  | _ -> false

@@ -34,7 +34,3 @@ val probe :
     [V >= (1 − rel_tol) · max V] (default [rel_tol] 1e-4; adjacent
     near-optimal grid points join the same cluster).
     Requires [0 < c < horizon p]. *)
-
-val unique : ?samples:int -> ?rel_tol:float -> Life_function.t -> c:float ->
-  bool
-(** [unique p ~c] is [true] iff {!probe} finds exactly one cluster. *)

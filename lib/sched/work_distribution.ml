@@ -52,11 +52,6 @@ let of_schedule lf ~c s =
   let variance = Float.max 0.0 (Kahan.total var_acc) in
   { outcomes; mean; variance; stddev = sqrt variance }
 
-let prob_at_least d w =
-  Array.fold_left
-    (fun acc (x, pr) -> if x >= w then acc +. pr else acc)
-    0.0 d.outcomes
-
 let quantile d ~q =
   if q < 0.0 || q > 1.0 then
     invalid_arg "Work_distribution.quantile: q must lie in [0, 1]";

@@ -30,9 +30,6 @@ val of_schedule : Life_function.t -> c:float -> Schedule.t -> t
     equal cumulative work (unproductive periods) are merged into one
     outcome. Requires [c >= 0]. *)
 
-val prob_at_least : t -> float -> float
-(** [prob_at_least d w] is [P(work >= w)]. *)
-
 val quantile : t -> q:float -> float
 (** [quantile d ~q] is the smallest outcome [w] with [P(work <= w) >= q].
     Requires [0 <= q <= 1]. *)

@@ -54,13 +54,6 @@ let test_efficiency_degrades_with_grain () =
   in
   Alcotest.(check bool) "coarse grain loses more" true (eff 0.1 >= eff 6.0)
 
-let test_tasks_capacity () =
-  let s = Schedule.of_list [ 10.0; 8.0 ] in
-  let q = Discretize.quantize lf ~c ~task:2.0 s in
-  (* floor(9/2)=4, floor(7/2)=3: 7 tasks, capacity 14. *)
-  Alcotest.(check (float 1e-12)) "capacity" 14.0
-    (Discretize.tasks_capacity q ~task:2.0)
-
 let test_quantized_work_consistent () =
   let g = Guideline.plan lf ~c in
   let q = Discretize.quantize lf ~c ~task:1.0 g.Guideline.schedule in
@@ -80,7 +73,7 @@ let prop_quantized_capacity_le_continuous =
       match Discretize.quantize lf ~c ~task s with
       | exception Invalid_argument _ -> true
       | q ->
-          Discretize.tasks_capacity q ~task
+          float_of_int q.Discretize.total_tasks *. task
           <= Schedule.work_capacity ~c s +. 1e-9)
 
 let prop_fine_tasks_lose_little =
@@ -107,7 +100,6 @@ let () =
           Alcotest.test_case "efficiency bounds" `Quick test_efficiency_bounds;
           Alcotest.test_case "grain degrades efficiency" `Quick
             test_efficiency_degrades_with_grain;
-          Alcotest.test_case "tasks capacity" `Quick test_tasks_capacity;
           Alcotest.test_case "quantized E consistent" `Quick
             test_quantized_work_consistent;
           QCheck_alcotest.to_alcotest prop_quantized_capacity_le_continuous;

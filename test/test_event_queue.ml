@@ -1,9 +1,7 @@
 let test_empty_queue () =
   let q = Event_queue.create () in
-  Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
   Alcotest.(check int) "size 0" 0 (Event_queue.size q);
-  Alcotest.(check bool) "pop None" true (Event_queue.pop q = None);
-  Alcotest.(check bool) "peek None" true (Event_queue.peek_time q = None)
+  Alcotest.(check bool) "pop None" true (Event_queue.pop q = None)
 
 let test_time_ordering () =
   let q = Event_queue.create () in
@@ -43,12 +41,6 @@ let test_fifo_within_same_priority () =
   match Event_queue.pop q with
   | Some (_, v) -> Alcotest.(check string) "insertion order" "second" v
   | None -> Alcotest.fail "empty"
-
-let test_peek_does_not_remove () =
-  let q = Event_queue.create () in
-  Event_queue.push q ~time:2.0 ~tie:0 ();
-  Alcotest.(check bool) "peek time" true (Event_queue.peek_time q = Some 2.0);
-  Alcotest.(check int) "still size 1" 1 (Event_queue.size q)
 
 let test_interleaved_push_pop () =
   let q = Event_queue.create () in
@@ -122,7 +114,6 @@ let () =
           Alcotest.test_case "tie breaking" `Quick test_tie_breaking;
           Alcotest.test_case "FIFO same priority" `Quick
             test_fifo_within_same_priority;
-          Alcotest.test_case "peek" `Quick test_peek_does_not_remove;
           Alcotest.test_case "interleaved" `Quick test_interleaved_push_pop;
           Alcotest.test_case "non-finite rejected" `Quick
             test_rejects_nonfinite_time;

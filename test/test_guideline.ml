@@ -64,13 +64,6 @@ let test_guideline_beats_naive_singleperiod () =
         (g.Guideline.expected_work >= naive.Baselines.expected_work -. 1e-9))
     (Families.all_paper_scenarios ~c:1.0)
 
-let test_plan_with_t0 () =
-  let lf = Families.uniform ~lifespan:100.0 in
-  let r = Guideline.plan_with_t0 lf ~c:1.0 ~t0:15.0 in
-  feq ~eps:0.0 15.0 r.Guideline.t0;
-  feq ~eps:0.0 15.0 (Schedule.period r.Guideline.schedule 0);
-  Alcotest.(check bool) "positive E" true (r.Guideline.expected_work > 0.0)
-
 let test_plan_validation () =
   let lf = Families.uniform ~lifespan:10.0 in
   match Guideline.plan lf ~c:0.0 with
@@ -223,7 +216,6 @@ let () =
             test_guideline_t0_inside_own_bracket;
           Alcotest.test_case "beats single period" `Quick
             test_guideline_beats_naive_singleperiod;
-          Alcotest.test_case "plan_with_t0" `Quick test_plan_with_t0;
           Alcotest.test_case "validation" `Quick test_plan_validation;
           Alcotest.test_case "productive schedules" `Quick
             test_schedule_is_productive;

@@ -1,26 +1,5 @@
 let xs = [| 0.0; 1.0; 2.0; 3.0; 4.0 |]
 
-let test_linear_hits_knots () =
-  let ys = [| 0.0; 2.0; 1.0; 5.0; 4.0 |] in
-  let ip = Interp.linear ~xs ~ys in
-  Array.iteri
-    (fun i x ->
-      Alcotest.(check (float 1e-12)) "knot value" ys.(i) (Interp.eval ip x))
-    xs
-
-let test_linear_midpoint () =
-  let ip = Interp.linear ~xs:[| 0.0; 2.0 |] ~ys:[| 0.0; 4.0 |] in
-  Alcotest.(check (float 1e-12)) "midpoint" 2.0 (Interp.eval ip 1.0)
-
-let test_linear_extrapolates () =
-  let ip = Interp.linear ~xs:[| 0.0; 1.0 |] ~ys:[| 0.0; 1.0 |] in
-  Alcotest.(check (float 1e-12)) "right extrapolation" 2.0 (Interp.eval ip 2.0)
-
-let test_linear_derivative () =
-  let ip = Interp.linear ~xs:[| 0.0; 1.0; 3.0 |] ~ys:[| 0.0; 2.0; 2.0 |] in
-  Alcotest.(check (float 1e-12)) "slope seg 0" 2.0 (Interp.derivative ip 0.5);
-  Alcotest.(check (float 1e-12)) "slope seg 1" 0.0 (Interp.derivative ip 2.0)
-
 let test_pchip_hits_knots () =
   let ys = [| 1.0; 0.8; 0.5; 0.1; 0.0 |] in
   let ip = Interp.pchip ~xs ~ys in
@@ -74,7 +53,7 @@ let test_domain_and_knots () =
   Alcotest.(check int) "knot count" 5 (Array.length (Interp.knots ip))
 
 let test_bad_grid_unsorted () =
-  match Interp.linear ~xs:[| 0.0; 2.0; 1.0 |] ~ys:[| 0.0; 1.0; 2.0 |] with
+  match Interp.pchip ~xs:[| 0.0; 2.0; 1.0 |] ~ys:[| 0.0; 1.0; 2.0 |] with
   | exception Interp.Bad_grid _ -> ()
   | _ -> Alcotest.fail "expected Bad_grid"
 
@@ -84,7 +63,7 @@ let test_bad_grid_short () =
   | _ -> Alcotest.fail "expected Bad_grid"
 
 let test_bad_grid_length_mismatch () =
-  match Interp.linear ~xs:[| 0.0; 1.0 |] ~ys:[| 1.0 |] with
+  match Interp.pchip ~xs:[| 0.0; 1.0 |] ~ys:[| 1.0 |] with
   | exception Interp.Bad_grid _ -> ()
   | _ -> Alcotest.fail "expected Bad_grid"
 
@@ -124,11 +103,6 @@ let () =
     [
       ( "interp",
         [
-          Alcotest.test_case "linear hits knots" `Quick test_linear_hits_knots;
-          Alcotest.test_case "linear midpoint" `Quick test_linear_midpoint;
-          Alcotest.test_case "linear extrapolates" `Quick
-            test_linear_extrapolates;
-          Alcotest.test_case "linear derivative" `Quick test_linear_derivative;
           Alcotest.test_case "pchip hits knots" `Quick test_pchip_hits_knots;
           Alcotest.test_case "pchip monotone" `Quick
             test_pchip_monotone_preserving;

@@ -123,16 +123,13 @@ let test_mean_lifetime_consistency () =
   Alcotest.(check bool) "sampled mean close" true
     (Float.abs (sampled -. quad) < 0.02 *. quad)
 
-let test_checkpoint_farm_throughput_triangle () =
-  (* The same (p, c) through three independent formalisms must agree on
-     the per-episode expectation. *)
+let test_guideline_throughput_agreement () =
+  (* The same (p, c) through the planner and the renewal-reward
+     throughput model must agree on the per-episode expectation. *)
   let lf = Families.exponential ~rate:0.02 in
   let c = 1.0 in
-  let plan = Checkpoint.plan_saves lf ~c in
   let g = Guideline.plan lf ~c in
   let thr = Throughput.of_guideline lf ~c ~presence_mean:10.0 in
-  Alcotest.(check (float 1e-9)) "checkpoint = guideline"
-    g.Guideline.expected_work plan.Checkpoint.expected_committed;
   Alcotest.(check (float 1e-9)) "throughput numerator = guideline"
     g.Guideline.expected_work thr.Throughput.work_per_cycle
 
@@ -188,8 +185,8 @@ let () =
             test_optimizer_dominates_every_other_planner;
           Alcotest.test_case "mean lifetime three ways" `Quick
             test_mean_lifetime_consistency;
-          Alcotest.test_case "checkpoint/guideline/throughput triangle" `Quick
-            test_checkpoint_farm_throughput_triangle;
+          Alcotest.test_case "guideline/throughput agreement" `Quick
+            test_guideline_throughput_agreement;
           QCheck_alcotest.to_alcotest
             prop_expected_work_superadditive_under_concat;
           QCheck_alcotest.to_alcotest prop_scaling_covariance;

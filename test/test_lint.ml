@@ -249,7 +249,7 @@ let test_r10 () =
        "let load p = In_channel.with_open_bin p In_channel.input_all\n\
         let pid () = Unix.getpid ()\n");
   check_rules "ambient eprintf" [ "R10" ]
-    (lint ~path:"lib/workload/fixture.ml"
+    (lint ~path:sched
        "let warn n = Printf.eprintf \"%d\\n\" n\n");
   (* A name the file binds itself is not the stdlib primitive. *)
   check_rules "file-local flush" []
@@ -305,7 +305,7 @@ let test_deep_r10_domain_allowed () =
    capture any: a captured toplevel ref is reported where it is
    allocated, whether the closure writes it, reads it or reaches it
    through a callee. The writes are also naive float accumulation. *)
-let tally = "lib/workload/tally.ml"
+let tally = "lib/sim/tally.ml"
 
 let test_deep_r11_mutable_capture () =
   check_rules "pool closure mutates a toplevel ref" [ "R14"; "R2" ]

@@ -27,12 +27,20 @@ let test_parallel_for_covers_all_chunks () =
       Alcotest.(check bool) "each chunk exactly once" true
         (Array.for_all (fun h -> h = 1) hits))
 
-let test_map_reduce_order () =
+(* The production idiom: each chunk writes its partial into its own slot
+   of a preallocated array, and the caller folds the slots in chunk-index
+   order. *)
+let chunk_fold p ~chunks ~map ~reduce ~init =
+  let parts = Array.make chunks init in
+  Domain_pool.parallel_for p ~chunks (fun i -> parts.(i) <- map i);
+  Array.fold_left reduce init parts
+
+let test_chunk_order () =
   (* A non-commutative reduce exposes any deviation from chunk-index
      order: build the chunk list and compare to the identity. *)
   Domain_pool.with_pool ~domains:4 (fun p ->
       let r =
-        Domain_pool.map_reduce p ~chunks:100 ~map:(fun i -> [ i ])
+        chunk_fold p ~chunks:100 ~map:(fun i -> [ i ])
           ~reduce:(fun acc x -> acc @ x)
           ~init:[]
       in
@@ -41,7 +49,7 @@ let test_map_reduce_order () =
 let test_pool_reuse () =
   Domain_pool.with_pool ~domains:2 (fun p ->
       let total () =
-        Domain_pool.map_reduce p ~chunks:50 ~map:Fun.id ~reduce:( + ) ~init:0
+        chunk_fold p ~chunks:50 ~map:Fun.id ~reduce:( + ) ~init:0
       in
       Alcotest.(check int) "first use" 1225 (total ());
       Alcotest.(check int) "second use" 1225 (total ());
@@ -71,7 +79,7 @@ let test_exception_propagation () =
          Alcotest.(check int) "lowest failing chunk" 3 i);
       (* ... and the pool must remain usable afterwards. *)
       let r =
-        Domain_pool.map_reduce p ~chunks:10 ~map:Fun.id ~reduce:( + ) ~init:0
+        chunk_fold p ~chunks:10 ~map:Fun.id ~reduce:( + ) ~init:0
       in
       Alcotest.(check int) "pool usable after failure" 45 r)
 
@@ -352,7 +360,7 @@ let () =
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "parallel_for coverage" `Quick
             test_parallel_for_covers_all_chunks;
-          Alcotest.test_case "map_reduce order" `Quick test_map_reduce_order;
+          Alcotest.test_case "chunk order" `Quick test_chunk_order;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;

@@ -1,26 +1,6 @@
 let lf = Families.uniform ~lifespan:100.0
 let c = 1.0
 
-let test_shift_changes_one_period () =
-  let s = Schedule.of_list [ 5.0; 4.0; 3.0 ] in
-  match Perturb.shift s ~k:1 ~delta:0.5 with
-  | Some s' ->
-      Alcotest.(check (float 0.0)) "period 0 unchanged" 5.0 (Schedule.period s' 0);
-      Alcotest.(check (float 0.0)) "period 1 shifted" 4.5 (Schedule.period s' 1);
-      Alcotest.(check (float 0.0)) "period 2 unchanged" 3.0 (Schedule.period s' 2)
-  | None -> Alcotest.fail "shift should be valid"
-
-let test_shift_rejects_nonpositive_result () =
-  let s = Schedule.of_list [ 5.0; 4.0 ] in
-  Alcotest.(check bool) "None on collapse" true
-    (Perturb.shift s ~k:1 ~delta:(-4.0) = None)
-
-let test_shift_out_of_range () =
-  let s = Schedule.of_list [ 5.0 ] in
-  match Perturb.shift s ~k:3 ~delta:0.1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range k accepted"
-
 let test_perturb_preserves_duration () =
   let s = Schedule.of_list [ 5.0; 4.0; 3.0 ] in
   match Perturb.perturb s ~k:0 ~delta:0.7 with
@@ -70,13 +50,6 @@ let test_bad_schedule_detected_by_perturbation () =
   let m = Perturb.perturbation_margin lf ~c s in
   Alcotest.(check bool) "improvable" true (m.Perturb.margin < 0.0)
 
-let test_optimal_schedule_beats_shifts () =
-  (* Theorem 3.1's precondition: the exact optimal schedule beats all
-     shifts. *)
-  let exact = Exact.uniform ~c ~lifespan:100.0 in
-  let m = Perturb.shift_margin lf ~c exact.Exact.schedule in
-  Alcotest.(check bool) "shift margin >= 0" true (m.Perturb.margin >= -1e-9)
-
 let test_margin_requires_two_periods () =
   let s = Schedule.of_list [ 5.0 ] in
   match Perturb.perturbation_margin lf ~c s with
@@ -111,32 +84,17 @@ let prop_thm51_recurrence_schedules_locally_optimal =
       let m = Perturb.perturbation_margin ~min_period:c lf ~c s in
       m.Perturb.margin >= -1e-7)
 
-let prop_shift_none_only_on_collapse =
-  QCheck.Test.make ~name:"shift returns None exactly when period collapses"
-    ~count:200
-    QCheck.(pair (float_range 0.1 5.0) (float_range (-6.0) 6.0))
-    (fun (t, delta) ->
-      let s = Schedule.of_list [ t; 1.0 ] in
-      let result = Perturb.shift s ~k:0 ~delta in
-      if t +. delta > 0.0 then result <> None else result = None)
-
 let () =
   Alcotest.run "perturb"
     [
       ( "operators",
         [
-          Alcotest.test_case "shift one period" `Quick
-            test_shift_changes_one_period;
-          Alcotest.test_case "shift rejects collapse" `Quick
-            test_shift_rejects_nonpositive_result;
-          Alcotest.test_case "shift out of range" `Quick test_shift_out_of_range;
           Alcotest.test_case "perturb preserves duration" `Quick
             test_perturb_preserves_duration;
           Alcotest.test_case "perturb rejects collapse" `Quick
             test_perturb_rejects_collapse;
           Alcotest.test_case "perturb out of range" `Quick
             test_perturb_out_of_range;
-          QCheck_alcotest.to_alcotest prop_shift_none_only_on_collapse;
         ] );
       ( "thm-5.1",
         [
@@ -146,8 +104,6 @@ let () =
             test_geo_inc_guideline_beats_perturbations;
           Alcotest.test_case "bad schedule improvable" `Quick
             test_bad_schedule_detected_by_perturbation;
-          Alcotest.test_case "optimal beats shifts (Thm 3.1)" `Quick
-            test_optimal_schedule_beats_shifts;
           Alcotest.test_case "needs two periods" `Quick
             test_margin_requires_two_periods;
           QCheck_alcotest.to_alcotest

@@ -15,18 +15,6 @@ let test_different_seeds_differ () =
   done;
   Alcotest.(check bool) "streams differ" true (!same < 4)
 
-let test_copy_is_independent () =
-  let g = Prng.create ~seed:9L in
-  let _ = Prng.next_int64 g in
-  let h = Prng.copy g in
-  let a = Prng.next_int64 g in
-  let b = Prng.next_int64 h in
-  Alcotest.(check int64) "copy continues identically" a b;
-  (* advancing g further must not affect h *)
-  let _ = Prng.next_int64 g in
-  let c = Prng.next_int64 h in
-  Alcotest.(check bool) "independent after copy" true (c <> Prng.next_int64 g || true)
-
 let test_split_diverges () =
   let g = Prng.create ~seed:5L in
   let child = Prng.split g in
@@ -120,7 +108,6 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "seeds differ" `Quick test_different_seeds_differ;
-          Alcotest.test_case "copy independence" `Quick test_copy_is_independent;
           Alcotest.test_case "split diverges" `Quick test_split_diverges;
           Alcotest.test_case "float in [0,1)" `Quick test_float_range_01;
           Alcotest.test_case "uniform mean" `Quick test_float_mean;

@@ -157,6 +157,30 @@ let test_load_headerless_and_bad_header () =
           Alcotest.(check bool) "Trace_report names the marker line" true
             (contains_sub msg at_marker))
 
+let test_load_empty_refused () =
+  (* A zero-byte or blank file is a truncated trace, not an empty run:
+     loading it must fail and name the file, so two truncated traces
+     cannot pass a determinism diff. A header with no events still
+     loads. *)
+  with_temp_file ".jsonl" (fun path ->
+      List.iter
+        (fun lines ->
+          write_file path lines;
+          (match Obs_query.load path with
+          | Ok _ -> Alcotest.fail "Obs_query accepted an empty trace"
+          | Error msg ->
+              Alcotest.(check bool) "error names the file" true
+                (contains_sub msg path));
+          match Trace_report.load path with
+          | Ok _ -> Alcotest.fail "Trace_report accepted an empty trace"
+          | Error _ -> ())
+        [ []; [ ""; "  " ] ];
+      write_file path
+        [ Jsonx.to_string (Obs_meta.to_json (Obs_meta.make ~git_sha:"x" ())) ];
+      let t = ok (Obs_query.load path) in
+      Alcotest.(check int) "header-only trace has no events" 0
+        (List.length t.Obs_query.events))
+
 (* ------------------------------------------------------------------ *)
 (* Filtering and episode rows                                         *)
 
@@ -359,6 +383,8 @@ let () =
             test_load_with_header;
           Alcotest.test_case "headerless and bad header" `Quick
             test_load_headerless_and_bad_header;
+          Alcotest.test_case "empty trace refused" `Quick
+            test_load_empty_refused;
         ] );
       ( "query",
         [

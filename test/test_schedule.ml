@@ -70,12 +70,6 @@ let test_expected_work_rejects_negative_c () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
-let test_expected_work_detail_sums () =
-  let s = Schedule.of_list [ 4.0; 3.0; 2.0 ] in
-  let detail = Schedule.expected_work_detail ~c:1.0 lf_uniform s in
-  let total = Array.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 detail in
-  feq ~eps:1e-12 (Schedule.expected_work ~c:1.0 lf_uniform s) total
-
 let test_productive_normal_form_merges () =
   (* [0.5; 0.4; 3.0] with c = 1: the two short periods merge forward into
      the third: [3.9]. *)
@@ -101,26 +95,6 @@ let test_is_productive () =
     (Schedule.is_productive ~c:1.0 (Schedule.of_list [ 2.0; 3.0; 0.5 ]));
   Alcotest.(check bool) "unproductive inner" false
     (Schedule.is_productive ~c:1.0 (Schedule.of_list [ 2.0; 0.5; 3.0 ]))
-
-let test_truncate_after () =
-  let s = Schedule.of_list [ 2.0; 3.0; 4.0 ] in
-  (match Schedule.truncate_after s ~duration:5.5 with
-  | Some s' ->
-      Alcotest.(check int) "keeps two" 2 (Schedule.num_periods s')
-  | None -> Alcotest.fail "expected a prefix");
-  (match Schedule.truncate_after s ~duration:1.0 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected None");
-  match Schedule.truncate_after s ~duration:9.0 with
-  | Some s' -> Alcotest.(check int) "keeps all" 3 (Schedule.num_periods s')
-  | None -> Alcotest.fail "expected full schedule"
-
-let test_append () =
-  let s = Schedule.append (Schedule.of_list [ 1.0 ]) 2.0 in
-  Alcotest.(check int) "two periods" 2 (Schedule.num_periods s);
-  match Schedule.append s (-1.0) with
-  | exception Schedule.Invalid_schedule _ -> ()
-  | _ -> Alcotest.fail "negative append accepted"
 
 let test_equal () =
   let a = Schedule.of_list [ 1.0; 2.0 ] in
@@ -191,9 +165,7 @@ let () =
             test_of_periods_rejects_nonpositive;
           Alcotest.test_case "defensive copies" `Quick test_periods_returns_copy;
           Alcotest.test_case "completion times" `Quick test_completion_times;
-          Alcotest.test_case "append" `Quick test_append;
           Alcotest.test_case "equal" `Quick test_equal;
-          Alcotest.test_case "truncate_after" `Quick test_truncate_after;
         ] );
       ( "expected-work",
         [
@@ -206,8 +178,6 @@ let () =
             test_expected_work_beyond_horizon_is_zero;
           Alcotest.test_case "negative c rejected" `Quick
             test_expected_work_rejects_negative_c;
-          Alcotest.test_case "detail sums to E" `Quick
-            test_expected_work_detail_sums;
         ] );
       ( "prop-2.1",
         [

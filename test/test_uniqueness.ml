@@ -59,10 +59,6 @@ let test_loose_tolerance_widens_cluster () =
   Alcotest.(check bool) "looser tolerance, wider set" true
     (width loose >= width tight)
 
-let test_unique_helper () =
-  Alcotest.(check bool) "uniform unique" true
-    (Uniqueness.unique (Families.uniform ~lifespan:100.0) ~c)
-
 let test_validation () =
   match Uniqueness.probe ~samples:2 (Families.uniform ~lifespan:10.0) ~c with
   | exception Invalid_argument _ -> ()
@@ -89,7 +85,6 @@ let () =
             test_best_value_consistent;
           Alcotest.test_case "tolerance widens cluster" `Quick
             test_loose_tolerance_widens_cluster;
-          Alcotest.test_case "unique helper" `Quick test_unique_helper;
           Alcotest.test_case "validation" `Quick test_validation;
           QCheck_alcotest.to_alcotest prop_probe_never_empty;
         ] );

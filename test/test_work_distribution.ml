@@ -41,8 +41,9 @@ let test_single_period_all_or_nothing () =
   Alcotest.(check int) "two outcomes" 2
     (Array.length d.Work_distribution.outcomes);
   Alcotest.(check (float 1e-12)) "P(zero)" 0.5 (Work_distribution.prob_zero d);
-  Alcotest.(check (float 1e-12)) "P(>= 4)" 0.5
-    (Work_distribution.prob_at_least d 4.0)
+  let w, pr = d.Work_distribution.outcomes.(1) in
+  Alcotest.(check (float 1e-12)) "full work" 4.0 w;
+  Alcotest.(check (float 1e-12)) "P(= 4)" 0.5 pr
 
 let test_unproductive_periods_merge () =
   (* Two sub-c periods add no outcomes beyond zero work. *)
@@ -97,22 +98,6 @@ let prop_mean_identity =
       Float.abs (d.Work_distribution.mean -. Schedule.expected_work ~c lf s)
       < 1e-9)
 
-let prop_prob_at_least_monotone =
-  QCheck.Test.make ~name:"P(work >= w) is nonincreasing in w" ~count:200
-    QCheck.(array_of_size Gen.(int_range 1 10) (float_range 0.5 10.0))
-    (fun ts ->
-      let s = Schedule.of_periods ts in
-      let d = Work_distribution.of_schedule lf ~c s in
-      let ok = ref true in
-      let prev = ref 1.0 in
-      for i = 0 to 20 do
-        let w = float_of_int i *. 2.0 in
-        let p = Work_distribution.prob_at_least d w in
-        if p > !prev +. 1e-12 then ok := false;
-        prev := p
-      done;
-      !ok)
-
 let () =
   Alcotest.run "work_distribution"
     [
@@ -134,6 +119,5 @@ let () =
             test_variance_nonnegative_and_consistent;
           Alcotest.test_case "validation" `Quick test_validation;
           QCheck_alcotest.to_alcotest prop_mean_identity;
-          QCheck_alcotest.to_alcotest prop_prob_at_least_monotone;
         ] );
     ]
