@@ -73,10 +73,18 @@ let histogram a ~bins ~lo ~hi =
     a;
   counts
 
+(* [Float.compare] sorts NaN below every float, so after the sort a NaN
+   can only sit at index 0. The tie loops below compare with [=], which
+   never holds for NaN and would spin. *)
+let reject_nan name x =
+  if Float.is_nan x then
+    invalid_arg (Printf.sprintf "Stats.%s: NaN in input" name)
+
 let ecdf_survival samples =
   require_nonempty "ecdf_survival" samples;
   let sorted = Array.copy samples in
   Array.sort Float.compare sorted;
+  reject_nan "ecdf_survival" sorted.(0);
   let n = Array.length sorted in
   let nf = float_of_int n in
   (* Collapse ties: survival after x = fraction of samples strictly > x. *)
@@ -98,6 +106,7 @@ let kaplan_meier observations =
     invalid_arg "Stats.kaplan_meier: empty input";
   let obs = Array.copy observations in
   Array.sort (fun (a, _) (b, _) -> Float.compare a b) obs;
+  reject_nan "kaplan_meier" (fst obs.(0));
   let n = Array.length obs in
   let at_risk = ref n in
   let survival = ref 1.0 in
@@ -129,6 +138,7 @@ let kaplan_meier_greenwood observations =
     invalid_arg "Stats.kaplan_meier_greenwood: empty input";
   let obs = Array.copy observations in
   Array.sort (fun (a, _) (b, _) -> Float.compare a b) obs;
+  reject_nan "kaplan_meier_greenwood" (fst obs.(0));
   let n = Array.length obs in
   let at_risk = ref n in
   let survival = ref 1.0 in

@@ -13,36 +13,44 @@ let check_durations name ds =
         invalid_arg (name ^ ": durations must be positive and finite"))
     ds
 
-let sse_against_ecdf lf ds =
+(* The empirical survival curve, sorted once per call and kept as two
+   unboxed float arrays: abscissae and [Pr(X > x)]. Every candidate and
+   every golden-section probe is scored against the same one. *)
+type ecdf = { xs : float array; ss : float array }
+
+let ecdf_of ds =
   let steps = Stats.ecdf_survival ds in
+  { xs = Array.map fst steps; ss = Array.map snd steps }
+
+let sse_steps lf ecdf =
   let acc = Kahan.create () in
-  Array.iter
-    (fun (x, s) ->
-      let d = Life_function.eval lf x -. s in
-      Kahan.add acc (d *. d))
-    steps;
+  for i = 0 to Array.length ecdf.xs - 1 do
+    let d = Life_function.eval lf ecdf.xs.(i) -. ecdf.ss.(i) in
+    Kahan.add acc (d *. d)
+  done;
   Kahan.total acc
 
-let finish family life params ds =
-  { family; life; sse = sse_against_ecdf life ds; params }
+let sse_against_ecdf lf ds = sse_steps lf (ecdf_of ds)
 
-let exponential_mle ds =
-  check_durations "Fit.exponential_mle" ds;
+let finish family life params ecdf =
+  { family; life; sse = sse_steps life ecdf; params }
+
+(* The fitters below take the checked sample and its ECDF; the public
+   entry points check and sort, [best_fit] does both once for all. *)
+let exponential ds ecdf =
   let rate = 1.0 /. Stats.mean ds in
   finish "exponential"
     (Families.exponential ~rate)
     [ ("rate", rate) ]
-    ds
+    ecdf
 
-let uniform_fit ds =
-  check_durations "Fit.uniform_fit" ds;
+let uniform ds ecdf =
   let n = float_of_int (Array.length ds) in
   let mx = Array.fold_left Float.max ds.(0) ds in
   let l = mx *. (n +. 1.0) /. n in
-  finish "uniform" (Families.uniform ~lifespan:l) [ ("lifespan", l) ] ds
+  finish "uniform" (Families.uniform ~lifespan:l) [ ("lifespan", l) ] ecdf
 
-let weibull_mle ?(tol = 1e-10) ?(max_iter = 200) ds =
-  check_durations "Fit.weibull_mle" ds;
+let weibull ?(tol = 1e-10) ?(max_iter = 200) ds ecdf =
   let n = Array.length ds in
   let distinct = Array.exists (fun d -> d <> ds.(0)) ds in
   if n < 2 || not distinct then
@@ -72,14 +80,13 @@ let weibull_mle ?(tol = 1e-10) ?(max_iter = 200) ds =
   finish "weibull"
     (Families.weibull ~shape ~scale)
     [ ("shape", shape); ("scale", scale) ]
-    ds
+    ecdf
 
-let geometric_increasing_fit ds =
-  check_durations "Fit.geometric_increasing_fit" ds;
+let geometric_increasing ds ecdf =
   let mx = Array.fold_left Float.max ds.(0) ds in
   let objective l =
     if l <= mx then infinity
-    else sse_against_ecdf (Families.geometric_increasing ~lifespan:l) ds
+    else sse_steps (Families.geometric_increasing ~lifespan:l) ecdf
   in
   let best =
     Optimize.golden_section_min objective ~lo:(mx *. 1.0001) ~hi:(mx *. 4.0)
@@ -88,16 +95,15 @@ let geometric_increasing_fit ds =
   finish "geometric-increasing"
     (Families.geometric_increasing ~lifespan:l)
     [ ("lifespan", l) ]
-    ds
+    ecdf
 
-let polynomial_fit ?(d_max = 5) ds =
-  check_durations "Fit.polynomial_fit" ds;
+let polynomial ?(d_max = 5) ds ecdf =
   if d_max < 1 then invalid_arg "Fit.polynomial_fit: d_max must be >= 1";
   let mx = Array.fold_left Float.max ds.(0) ds in
   let candidate d =
     let objective l =
       if l <= mx then infinity
-      else sse_against_ecdf (Families.polynomial ~d ~lifespan:l) ds
+      else sse_steps (Families.polynomial ~d ~lifespan:l) ecdf
     in
     let best =
       Optimize.golden_section_min objective ~lo:(mx *. 1.0001) ~hi:(mx *. 4.0)
@@ -116,20 +122,36 @@ let polynomial_fit ?(d_max = 5) ds =
     (Printf.sprintf "polynomial(d=%d)" d)
     (Families.polynomial ~d ~lifespan:l)
     [ ("d", float_of_int d); ("lifespan", l) ]
-    ds
+    ecdf
+
+let checked name fitter ds =
+  check_durations name ds;
+  fitter ds (ecdf_of ds)
+
+let exponential_mle ds = checked "Fit.exponential_mle" exponential ds
+let uniform_fit ds = checked "Fit.uniform_fit" uniform ds
+
+let weibull_mle ?tol ?max_iter ds =
+  checked "Fit.weibull_mle" (weibull ?tol ?max_iter) ds
+
+let geometric_increasing_fit ds =
+  checked "Fit.geometric_increasing_fit" geometric_increasing ds
+
+let polynomial_fit ?d_max ds = checked "Fit.polynomial_fit" (polynomial ?d_max) ds
 
 let best_fit ?d_max ds =
   check_durations "Fit.best_fit" ds;
   if Array.length ds < 2 then
     invalid_arg "Fit.best_fit: need at least 2 observations";
+  let ecdf = ecdf_of ds in
   let candidates =
     [
-      exponential_mle ds;
-      uniform_fit ds;
-      polynomial_fit ?d_max ds;
-      geometric_increasing_fit ds;
+      exponential ds ecdf;
+      uniform ds ecdf;
+      polynomial ?d_max ds ecdf;
+      geometric_increasing ds ecdf;
     ]
-    @ (try [ weibull_mle ds ] with Invalid_argument _ -> [])
+    @ (try [ weibull ds ecdf ] with Invalid_argument _ -> [])
   in
   List.fold_left
     (fun best c -> if c.sse < best.sse then c else best)

@@ -4,7 +4,12 @@
     the trace buys smoothness, an exact derivative, and a shape certificate
     (unlocking the Theorem 3.3 bounds) at the price of model bias. This
     module fits each supported family, scores it against the empirical
-    survival curve, and selects the best. *)
+    survival curve, and selects the best.
+
+    Each call sorts the sample once: the empirical survival curve is built
+    one time and every score, including every probe of a 1-D lifespan
+    search, is taken against it. {!best_fit} builds that curve once and
+    shares it across all the candidate families. *)
 
 type fitted = {
   family : string;  (** e.g. ["exponential"], ["weibull"], ["uniform"],

@@ -57,9 +57,20 @@ let count_censored obs =
     (fun acc o -> if o.Owner_model.observed then acc else acc + 1)
     0 obs
 
+(* A negative duration would be dropped silently when the knots are
+   de-duplicated against the (0, 1) boundary knot. *)
+let check_durations name obs =
+  Array.iter
+    (fun o ->
+      let d = o.Owner_model.duration in
+      if not (Float.is_finite d) || d < 0.0 then
+        invalid_arg (name ^ ": durations must be nonnegative and finite"))
+    obs
+
 let raw_steps obs =
   let n = Array.length obs in
   if n = 0 then invalid_arg "Survival.of_observations: empty input";
+  check_durations "Survival.of_observations" obs;
   let n_censored = count_censored obs in
   if n - n_censored = 0 then
     invalid_arg "Survival.of_observations: all observations censored";
@@ -95,6 +106,7 @@ let confidence_bands ?(knots = 32) ?(z = 1.96) obs =
   if z < 0.0 then invalid_arg "Survival.confidence_bands: z must be >= 0";
   let n = Array.length obs in
   if n = 0 then invalid_arg "Survival.confidence_bands: empty input";
+  check_durations "Survival.confidence_bands" obs;
   if n - count_censored obs = 0 then
     invalid_arg "Survival.confidence_bands: all observations censored";
   let steps =

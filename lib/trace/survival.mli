@@ -21,10 +21,12 @@ val of_observations :
     The horizon is placed at the largest observation, extended by one
     inter-knot gap so the fitted survival reaches 0 smoothly rather than
     truncating at a positive value.
-    @raise Invalid_argument on empty input or all-censored data. *)
+    @raise Invalid_argument on empty input, all-censored data, or a
+    negative or non-finite (NaN, infinite) duration. *)
 
 val of_durations : ?knots:int -> float array -> estimate
-(** [of_durations ds] is {!of_observations} on fully-observed data. *)
+(** [of_durations ds] is {!of_observations} on fully-observed data.
+    @raise Invalid_argument as {!of_observations} does. *)
 
 type bands = {
   lower : Life_function.t;

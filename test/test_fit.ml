@@ -126,6 +126,76 @@ let test_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "single observation accepted"
 
+(* best_fit on n = 700 draws (seed 700) from each owner model, recorded at
+   %.17g before the fitters shared one ECDF. Sorting once must not move a
+   single bit of the chosen family, its parameters or its SSE. *)
+let pinned_best_fits =
+  [
+    ( Owner_model.Exponential_absence { mean = 40.0 },
+      "exponential",
+      [ ("rate", 0.024757822254983696) ],
+      0.086250792321908284 );
+    ( Owner_model.Uniform_absence { max = 80.0 },
+      "polynomial(d=1)",
+      [ ("d", 1.0); ("lifespan", 80.700150446470417) ],
+      0.090666877084377664 );
+    ( Owner_model.Weibull_absence { shape = 2.0; scale = 45.2 },
+      "weibull",
+      [ ("shape", 1.9887271133166582); ("scale", 45.367564683762609) ],
+      0.094417359876487569 );
+    ( Owner_model.Coffee_break { typical = 40.0; spread = 10.0 },
+      "weibull",
+      [ ("shape", 4.5372061798093792); ("scale", 44.038443663022733) ],
+      0.10422243640781387 );
+    ( Owner_model.Day_night
+        { short_mean = 20.0; long_mean = 400.0; long_fraction = 0.15 },
+      "weibull",
+      [ ("shape", 0.57697028689154506); ("scale", 37.69196905488598) ],
+      3.042898736760852 );
+  ]
+
+let test_best_fit_pinned () =
+  let bits x = Printf.sprintf "%.17g" x in
+  List.iter
+    (fun (model, family, params, sse) ->
+      let f = Fit.best_fit (samples_of model 700 700L) in
+      Alcotest.(check string) "family" family f.Fit.family;
+      Alcotest.(check (list (pair string string)))
+        (family ^ " params")
+        (List.map (fun (k, v) -> (k, bits v)) params)
+        (List.map (fun (k, v) -> (k, bits v)) f.Fit.params);
+      Alcotest.(check string) (family ^ " sse") (bits sse) (bits f.Fit.sse))
+    pinned_best_fits
+
+(* Samples of 2..300 durations; about half the arrays draw from five
+   integer values only, so ties are common. *)
+let gen_durations =
+  QCheck.Gen.(
+    int_range 2 300 >>= fun n ->
+    oneof
+      [
+        array_size (return n) (float_range 0.1 50.0);
+        array_size (return n) (map float_of_int (int_range 1 5));
+      ])
+
+let prop_sse_matches_sse_against_ecdf =
+  QCheck.Test.make
+    ~name:"every fitter's sse is sse_against_ecdf of its life, exactly"
+    ~count:60
+    (QCheck.make ~print:QCheck.Print.(array float) gen_durations)
+    (fun ds ->
+      let weibull = try [ Fit.weibull_mle ds ] with Invalid_argument _ -> [] in
+      List.for_all
+        (fun f -> Tol.exactly f.Fit.sse (Fit.sse_against_ecdf f.Fit.life ds))
+        ([
+           Fit.exponential_mle ds;
+           Fit.uniform_fit ds;
+           Fit.polynomial_fit ds;
+           Fit.geometric_increasing_fit ds;
+           Fit.best_fit ds;
+         ]
+        @ weibull))
+
 let prop_exponential_mle_rate_consistent =
   QCheck.Test.make ~name:"exponential MLE rate ~ 1/sample-mean" ~count:50
     QCheck.(array_of_size Gen.(int_range 5 100) (float_range 0.1 50.0))
@@ -178,6 +248,9 @@ let () =
           Alcotest.test_case "fitted schedulable" `Quick
             test_fitted_lives_are_schedulable;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "best fit pinned per owner model" `Quick
+            test_best_fit_pinned;
+          QCheck_alcotest.to_alcotest prop_sse_matches_sse_against_ecdf;
           QCheck_alcotest.to_alcotest prop_exponential_mle_rate_consistent;
           QCheck_alcotest.to_alcotest prop_best_fit_recovers_scale_order;
         ] );

@@ -95,6 +95,22 @@ let test_kaplan_meier_with_censoring () =
   feq 1e-12 0.375 (snd km.(1));
   feq 1e-12 0.0 (snd km.(2))
 
+let test_survival_estimators_reject_nan () =
+  (* A NaN used to stall the tie-collapsing loop for ever. *)
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (name ^ " accepted a NaN")
+  in
+  List.iter
+    (fun xs ->
+      rejects "ecdf_survival" (fun () -> ignore (Stats.ecdf_survival xs));
+      let obs = Array.map (fun x -> (x, true)) xs in
+      rejects "kaplan_meier" (fun () -> ignore (Stats.kaplan_meier obs));
+      rejects "kaplan_meier_greenwood" (fun () ->
+          ignore (Stats.kaplan_meier_greenwood obs)))
+    [ [| nan; 1.0; 2.0 |]; [| 1.0; 2.0; nan |]; [| nan |] ]
+
 let test_linear_regression () =
   let xs = [| 0.0; 1.0; 2.0; 3.0 |] in
   let ys = [| 1.0; 3.0; 5.0; 7.0 |] in
@@ -146,6 +162,8 @@ let () =
             test_kaplan_meier_no_censoring_matches_ecdf;
           Alcotest.test_case "KM with censoring" `Quick
             test_kaplan_meier_with_censoring;
+          Alcotest.test_case "survival estimators reject NaN" `Quick
+            test_survival_estimators_reject_nan;
           Alcotest.test_case "linear regression" `Quick test_linear_regression;
           Alcotest.test_case "regression zero variance" `Quick
             test_linear_regression_zero_variance;

@@ -106,6 +106,36 @@ let test_all_censored_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "all-censored accepted"
 
+let test_bad_durations_rejected () =
+  let rejects label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (label ^ " accepted")
+  in
+  let observed ds =
+    Array.map (fun d -> { Owner_model.duration = d; observed = true }) ds
+  in
+  List.iter
+    (fun (label, ds) ->
+      rejects ("of_durations: " ^ label) (fun () ->
+          ignore (Survival.of_durations ds));
+      rejects ("of_observations: " ^ label) (fun () ->
+          ignore (Survival.of_observations (observed ds)));
+      rejects ("confidence_bands: " ^ label) (fun () ->
+          ignore (Survival.confidence_bands (observed ds))))
+    [
+      ("NaN", [| 1.0; nan; 2.0 |]);
+      ("negative", [| 1.0; -0.5; 2.0 |]);
+      ("infinite", [| 1.0; infinity; 2.0 |]);
+    ];
+  rejects "censored NaN" (fun () ->
+      ignore
+        (Survival.of_observations
+           [|
+             { Owner_model.duration = 1.0; observed = true };
+             { Owner_model.duration = nan; observed = false };
+           |]))
+
 let test_knots_recorded () =
   let rng = g () in
   let ds =
@@ -155,6 +185,8 @@ let () =
           Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
           Alcotest.test_case "all censored rejected" `Quick
             test_all_censored_rejected;
+          Alcotest.test_case "bad durations rejected" `Quick
+            test_bad_durations_rejected;
           Alcotest.test_case "knot budget" `Quick test_knots_recorded;
           QCheck_alcotest.to_alcotest prop_estimates_always_schedulable;
         ] );
