@@ -21,7 +21,7 @@ type t =
       (** Opens a trace; [source] names the emitting harness
           ([monte_carlo], [farm], ...). *)
   | Plan_computed of {
-      source : string;  (** [guideline] or [optimizer]. *)
+      source : string;  (** The emitting planner: [guideline]. *)
       t0 : float;  (** Chosen initial period. *)
       periods : int;
       expected_work : float;

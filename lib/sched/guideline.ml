@@ -60,78 +60,15 @@ let plan ?(obs = Obs.disabled) lf ~c =
     r
   end
 
-let plan_batch ?(obs = Obs.disabled) ?pool ?domains scenarios =
-  match scenarios with
-  | [] -> []
-  | _ :: _ ->
-      let scen = Array.of_list scenarios in
-      let n = Array.length scen in
-      (* Dedup identical scenarios (same life function physically, same
-         overhead bitwise) before the fan-out: each canonical scenario
-         plans once and the result fans back out in input order. The
-         unique list keeps first-occurrence order, so the chunk grid —
-         and with it bit-identity across domain counts (DESIGN §10) —
-         depends only on the scenario list, never on the assignment. *)
-      let canon = Array.make n 0 in
-      let uniq_rev = ref [] in
-      let n_uniq = ref 0 in
-      for i = 0 to n - 1 do
-        let lf, c = scen.(i) in
-        let rec find = function
-          | [] -> None
-          | j :: rest ->
-              let lf', c' = scen.(j) in
-              if lf == lf' && Tol.exactly c c' then Some canon.(j)
-              else find rest
-        in
-        match find !uniq_rev with
-        | Some u -> canon.(i) <- u
-        | None ->
-            canon.(i) <- !n_uniq;
-            incr n_uniq;
-            uniq_rev := i :: !uniq_rev
-      done;
-      let uniq = Array.of_list (List.rev !uniq_rev) in
-      let m = Array.length uniq in
-      let slots = Array.make m None in
-      (* One unique scenario per chunk: plans are pure in (lf, c), so any
-         domain assignment yields the same slot contents; observability
-         goes to per-unique-scenario children gathered in that order. *)
-      let kids = Obs_fork.scatter obs ~n:m in
-      let meter = Obs.metrics obs in
-      let accounting = Option.is_some meter || Option.is_some pool in
-      Obs.span obs "guideline.plan_batch" (fun () ->
-          Domain_pool.run ?pool ?domains ?metrics:meter ~chunks:m (fun u ->
-              let lf, c = scen.(uniq.(u)) in
-              slots.(u) <- Some (plan ~obs:(Obs_fork.child kids u) lf ~c));
-          let merge_t0 = if accounting then Obs_clock.now () else 0.0 in
-          Obs_fork.gather obs kids;
-          if accounting then
-            Domain_pool.note_merge ?pool ?metrics:meter
-              ~seconds:(Obs_clock.elapsed_since merge_t0) ());
-      List.init n (fun i ->
-          match slots.(canon.(i)) with
-          | Some r -> r
-          | None -> assert false (* every chunk filled its slot *))
-
-let plan_risk_averse ~lambda_ lf ~c =
-  if lambda_ < 0.0 then
-    invalid_arg "Guideline.plan_risk_averse: lambda_ must be >= 0";
-  let lo, hi = Bounds.bracket lf ~c in
-  let score t0 =
-    let g = Recurrence.generate lf ~c ~t0 in
-    let d = Work_distribution.of_schedule lf ~c g.Recurrence.schedule in
-    d.Work_distribution.mean -. (lambda_ *. d.Work_distribution.stddev)
-  in
-  let best = Optimize.grid_then_refine score ~lo ~hi ~steps:t0_steps in
-  let g, ew = evaluate lf ~c ~t0:best.Optimize.x in
-  {
-    schedule = g.Recurrence.schedule;
-    t0 = best.Optimize.x;
-    expected_work = ew;
-    bracket = (lo, hi);
-    stop = g.Recurrence.stop;
-  }
+let plan_batch ?pool scenarios =
+  let scen = Array.of_list scenarios in
+  let slots = Array.make (Array.length scen) None in
+  (* One scenario per chunk: plans are pure in (lf, c), so any domain
+     assignment fills the slots with the same plans. *)
+  Domain_pool.run ?pool ~chunks:(Array.length scen) (fun i ->
+      let lf, c = scen.(i) in
+      slots.(i) <- Some (plan lf ~c));
+  Array.to_list (Array.map Option.get slots)
 
 let next_period_online lf ~c ~elapsed =
   if elapsed < 0.0 then

@@ -32,41 +32,13 @@ val plan : ?obs:Obs.t -> Life_function.t -> c:float -> result
     @raise Invalid_argument when [c] is out of range. *)
 
 val plan_batch :
-  ?obs:Obs.t ->
-  ?pool:Domain_pool.t ->
-  ?domains:int ->
-  (Life_function.t * float) list ->
-  result list
+  ?pool:Domain_pool.t -> (Life_function.t * float) list -> result list
 (** [plan_batch scenarios] is [List.map (fun (p, c) -> plan p ~c)
     scenarios], except the scenarios may run concurrently — one chunk per
-    scenario on [?pool] (or a transient [?domains]-wide {!Domain_pool};
-    default inline). Plans are pure in [(p, c)], so the returned list is
-    bit-identical for any domain count and keeps the input order. This is
-    the batch entry point [csctl table] uses to sweep an overhead grid.
-
-    Identical scenarios — the same life function (physical equality) at
-    the same overhead (bitwise, {!Tol.exactly}) — are deduplicated before
-    the fan-out: each canonical scenario plans once and its single result
-    is fanned back out to every occurrence (physically shared), keeping
-    input order. Scenario-count-dependent accounting below therefore
-    counts {e unique} scenarios.
-
-    [?obs] observes the whole batch: each unique scenario records into a
-    private child handle, merged back in first-occurrence order under a
-    [guideline.plan_batch] span ({!Obs_fork}), so counters like
-    [plan.guideline_calls] count unique scenarios and the profile groups
-    per-scenario [guideline.plan] spans. *)
-
-val plan_risk_averse : lambda_:float -> Life_function.t -> c:float -> result
-(** [plan_risk_averse ~lambda_ p ~c] searches the same Theorem 3.2/3.3
-    bracket and recurrence family as {!plan}, but scores each candidate
-    schedule by the mean–deviation objective
-    [mean − lambda_ · stddev] of its exact banked-work law
-    ({!Work_distribution}). [lambda_ = 0] reduces to {!plan} (the reported
-    [expected_work] is always the plain eq. 2.1 mean); larger [lambda_]
-    trades expected work for a thinner low tail — e.g. a smaller
-    probability of a wasted episode. Requires [lambda_ >= 0] and
-    [0 < c < horizon p]. *)
+    scenario on [?pool] (default inline). Plans are pure in [(p, c)], so
+    the returned list is bit-identical for any domain count and keeps the
+    input order. This is the batch entry point [csctl table] uses to sweep
+    an overhead grid. *)
 
 val next_period_online :
   Life_function.t -> c:float -> elapsed:float -> float option

@@ -38,7 +38,11 @@ let seeds ~horizon ~m =
 
 let n_seeds = 4 (* length of [seeds] *)
 
-let ascend_seed lf ~c ~horizon ~m ~tol init =
+(* Smallest gain in E that counts as an improvement in the m-scan, and the
+   coordinate-ascent tolerance. *)
+let tol = 1e-10
+
+let ascend_seed lf ~c ~horizon ~m init =
   let eps = 1e-9 in
   let lower = Array.make m eps in
   let upper = Array.make m horizon in
@@ -50,9 +54,9 @@ let best_candidate candidates =
     (fun (bx, bew) (x, ew) -> if ew > bew then (x, ew) else (bx, bew))
     (List.hd candidates) (List.tl candidates)
 
-let ascend lf ~c ~horizon ~m ~tol =
+let ascend lf ~c ~horizon ~m =
   best_candidate
-    (List.map (ascend_seed lf ~c ~horizon ~m ~tol) (seeds ~horizon ~m))
+    (List.map (ascend_seed lf ~c ~horizon ~m) (seeds ~horizon ~m))
 
 (* Speculative block: evaluate every (m, seed) ascent for [count]
    consecutive period counts starting at [m0] as one flat job grid, then
@@ -60,24 +64,22 @@ let ascend lf ~c ~horizon ~m ~tol =
    [ascend] performs, so each per-m result is bit-identical to the
    serial one. Ascents are pure float computations from their seed
    vector; which domain runs which job cannot change a bit. *)
-let ascend_block pool lf ~c ~horizon ~tol ~m0 ~count =
+let ascend_block pool lf ~c ~horizon ~m0 ~count =
   let jobs = count * n_seeds in
   let slots = Array.make jobs None in
   Domain_pool.parallel_for pool ~chunks:jobs (fun j ->
       let m = m0 + (j / n_seeds) and si = j mod n_seeds in
       let init = List.nth (seeds ~horizon ~m) si in
-      slots.(j) <- Some (ascend_seed lf ~c ~horizon ~m ~tol init));
+      slots.(j) <- Some (ascend_seed lf ~c ~horizon ~m init));
   Array.init count (fun i ->
       best_candidate
         (List.init n_seeds (fun si -> Option.get slots.((i * n_seeds) + si))))
 
-let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
-    ?(tol = 1e-10) lf ~c =
+let optimal_schedule ?pool ?m_max ?(patience = 3) lf ~c =
   if c <= 0.0 then invalid_arg "Optimizer.optimal_schedule: c must be > 0";
   let horizon = Life_function.horizon lf in
   if c >= horizon then
     invalid_arg "Optimizer.optimal_schedule: c >= horizon";
-  let t_start = if Obs.instrumented obs then Obs_clock.now () else 0.0 in
   let m_cap =
     match m_max with
     | Some m -> m
@@ -88,10 +90,6 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
         | Life_function.Convex | Life_function.Unknown -> 64
       end
   in
-  let spanner = Obs.span_recorder obs in
-  (match spanner with
-  | Some r -> Obs.Span.enter r "optimizer.optimal_schedule"
-  | None -> ());
   let best = ref None in
   let stale = ref 0 in
   let m = ref 1 in
@@ -122,32 +120,13 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
       while !m <= m_cap && !stale < patience do
         let m0 = !m in
         let count = Int.min (m_cap - m0 + 1) (patience - !stale) in
-        let results =
-          match spanner with
-          | None -> ascend_block p lf ~c ~horizon ~tol ~m0 ~count
-          | Some r ->
-              Obs.Span.record
-                ~attrs:
-                  [ ("m_first", Jsonx.Int m0); ("count", Jsonx.Int count) ]
-                r "optimizer.block"
-                (fun () -> ascend_block p lf ~c ~horizon ~tol ~m0 ~count)
-        in
+        let results = ascend_block p lf ~c ~horizon ~m0 ~count in
         Array.iteri (fun i result -> consider (m0 + i) result) results;
         m := m0 + count
-      done;
-      (match Obs.metrics obs with
-      | Some meter -> Domain_pool.publish p meter
-      | None -> ())
+      done
   | Some _ | None ->
       while !m <= m_cap && !stale < patience do
-        let result =
-          match spanner with
-          | None -> ascend lf ~c ~horizon ~m:!m ~tol
-          | Some r ->
-              Obs.Span.record ~attrs:[ ("m", Jsonx.Int !m) ] r
-                "optimizer.sweep" (fun () -> ascend lf ~c ~horizon ~m:!m ~tol)
-        in
-        consider !m result;
+        consider !m (ascend lf ~c ~horizon ~m:!m);
         incr m
       done);
   match !best with
@@ -161,33 +140,9 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
         else
           Schedule.productive_normal_form ~c (Schedule.of_periods positive)
       in
-      let r =
-        {
-          schedule;
-          expected_work = Schedule.expected_work ~c lf schedule;
-          m;
-          sweeps = !sweeps;
-        }
-      in
-      (match spanner with
-      | Some rec_ ->
-          Obs.Span.exit rec_
-            ~attrs:
-              [ ("m", Jsonx.Int m); ("sweeps", Jsonx.Int !sweeps) ]
-      | None -> ());
-      if Obs.instrumented obs then begin
-        let elapsed = Obs_clock.elapsed_since t_start in
-        Obs.incr obs "plan.optimizer_calls";
-        Obs.add obs "optimizer.sweeps" !sweeps;
-        Obs.observe obs "plan.optimizer_seconds" elapsed;
-        Obs.emit obs
-          (Obs.Event.Plan_computed
-             {
-               source = "optimizer";
-               t0 = Schedule.period schedule 0;
-               periods = Schedule.num_periods schedule;
-               expected_work = r.expected_work;
-               elapsed;
-             })
-      end;
-      r
+      {
+        schedule;
+        expected_work = Schedule.expected_work ~c lf schedule;
+        m;
+        sweeps = !sweeps;
+      }

@@ -16,11 +16,9 @@ type t = {
 }
 
 val optimal_schedule :
-  ?obs:Obs.t ->
   ?pool:Domain_pool.t ->
   ?m_max:int ->
   ?patience:int ->
-  ?tol:float ->
   Life_function.t -> c:float ->
   t
 (** [optimal_schedule p ~c] searches period counts [m = 1, 2, ...]:
@@ -39,14 +37,7 @@ val optimal_schedule :
     remaining — a block the serial scan would provably also have
     evaluated in full. The winning schedule, [m] and [sweeps] are
     bit-identical to the serial search; only wall time changes. A
-    one-domain pool (or no pool) takes the untouched serial path.
-
-    [?obs] (default {!Obs.disabled}) records the search: a
-    [Plan_computed] event (source ["optimizer"]) plus the
-    [plan.optimizer_calls], [optimizer.sweeps], and
-    [plan.optimizer_seconds] metrics; a span recorder sees per-count
-    [optimizer.sweep] spans (serial) or per-block [optimizer.block]
-    spans (parallel). The result is unaffected. *)
+    one-domain pool (or no pool) takes the untouched serial path. *)
 
 val expected_work_of_vector :
   Life_function.t -> c:float -> float array -> float

@@ -3,7 +3,7 @@ type check = { name : string; holds : bool; detail : string }
 let pass name detail = { name; holds = true; detail }
 let fail name detail = { name; holds = false; detail }
 
-let decrement_check ?(tol = 1e-7) lf ~c s =
+let decrement_check lf ~c s =
   let name = "thm-5.2-decrement" in
   let ts = Schedule.periods s in
   let n = Array.length ts in
@@ -27,7 +27,7 @@ let decrement_check ?(tol = 1e-7) lf ~c s =
             worst_i := i
           end
         done;
-        if !worst <= tol then
+        if !worst <= 1e-7 then
           pass name
             (Printf.sprintf "%s: all internal decrements respect %s c"
                (if concave then "concave" else "convex")
@@ -52,16 +52,17 @@ let period_count_check lf ~c s =
           (Printf.sprintf "m = %d vs bound %d (t0/c = %d)" m bound t0_bound)
   | _, _ -> pass name "not concave-bounded: vacuous"
 
-let t0_bounds_check ?(tol = 1e-6) lf ~c s =
+let t0_bounds_check lf ~c s =
   let name = "thm-3.2/3.3-t0-bracket" in
   let lo, hi = Bounds.bracket lf ~c in
   let t0 = Schedule.period s 0 in
-  let slack = tol *. Float.max 1.0 (Float.abs t0) in
+  let slack = 1e-6 *. Float.max 1.0 (Float.abs t0) in
   if t0 >= lo -. slack && t0 <= hi +. slack then
     pass name (Printf.sprintf "t0 = %.6g inside [%.6g, %.6g]" t0 lo hi)
   else fail name (Printf.sprintf "t0 = %.6g outside [%.6g, %.6g]" t0 lo hi)
 
-let recurrence_check ?(tol = 1e-6) lf ~c s =
+let recurrence_check lf ~c s =
+  let tol = 1e-6 in
   let name = "cor-3.1-recurrence" in
   let res = Recurrence.residuals lf ~c s in
   if Array.length res = 0 then pass name "single period: vacuous"
@@ -71,6 +72,56 @@ let recurrence_check ?(tol = 1e-6) lf ~c s =
       pass name (Printf.sprintf "max |residual| = %.3g" worst)
     else fail name (Printf.sprintf "max |residual| = %.3g > %g" worst tol)
   end
+
+type margin = { worst_delta : float; worst_k : int; margin : float }
+
+(* Exchange sizes δ, as fractions of the shortest period. *)
+let delta_fractions = [| 0.001; 0.01; 0.05; 0.25 |]
+
+(* A [k, ±δ] exchange moves only T_k, so only terms k and k+1 of eq. 2.1
+   change: each margin is those two terms before minus after, O(1) per
+   exchange and free of the cancellation in E(S) − E(S'). *)
+let perturbation_margin lf ~c s =
+  if c < 0.0 then invalid_arg "Theory.perturbation_margin: c must be >= 0";
+  let ts = Schedule.periods s in
+  let n = Array.length ts in
+  if n < 2 then invalid_arg "Theory.perturbation_margin: need at least 2 periods";
+  let ends = Schedule.completion_times s in
+  let tmin = Array.fold_left Float.min ts.(0) ts in
+  let short t = if t <= c then 1 else 0 in
+  let n_short = Array.fold_left (fun acc t -> acc + short t) 0 ts in
+  let worst_m = ref infinity and worst_d = ref 0.0 and worst_k = ref (-1) in
+  for k = 0 to n - 2 do
+    let t1 = ts.(k) and t2 = ts.(k + 1) in
+    (* Every period of S' must exceed c (THEORY.md §9); the periods outside
+       the exchanged pair are those of S. *)
+    if n_short - short t1 - short t2 = 0 then begin
+      let p1 = Life_function.eval lf ends.(k) in
+      let p2 = Life_function.eval lf ends.(k + 1) in
+      let before =
+        (Schedule.positive_sub t1 c *. p1) +. (Schedule.positive_sub t2 c *. p2)
+      in
+      for j = 0 to (2 * Array.length delta_fractions) - 1 do
+        let d = delta_fractions.(j / 2) *. tmin in
+        let delta = if j land 1 = 0 then d else -.d in
+        let a = t1 +. delta and b = t2 -. delta in
+        if a > c && b > c then begin
+          let after =
+            ((a -. c) *. Life_function.eval lf (ends.(k) +. delta))
+            +. ((b -. c) *. p2)
+          in
+          let m = before -. after in
+          if m < !worst_m then begin
+            worst_m := m;
+            worst_d := delta;
+            worst_k := k
+          end
+        end
+      done
+    end
+  done;
+  if !worst_k < 0 then { worst_delta = 0.0; worst_k = 0; margin = 0.0 }
+  else { worst_delta = !worst_d; worst_k = !worst_k; margin = !worst_m }
 
 (* Theorem 5.1 is proved for expected work with ordinary subtraction, which
    Proposition 2.1 justifies for all periods except a possibly-sub-c final
@@ -90,15 +141,14 @@ let local_optimality_check lf ~c s =
   else begin
     match Life_function.shape lf with
     | Life_function.Concave | Life_function.Linear ->
-        let m = Perturb.perturbation_margin ~min_period:c lf ~c s in
-        if m.Perturb.margin >= -1e-9 then
+        let m = perturbation_margin lf ~c s in
+        if m.margin >= -1e-9 then
           pass name
-            (Printf.sprintf "min margin %.3g at period %d" m.Perturb.margin
-               m.Perturb.worst_k)
+            (Printf.sprintf "min margin %.3g at period %d" m.margin m.worst_k)
         else
           fail name
             (Printf.sprintf "perturbation at period %d (delta %.3g) improves E by %.3g"
-               m.Perturb.worst_k m.Perturb.worst_delta (-.m.Perturb.margin))
+               m.worst_k m.worst_delta (-.m.margin))
     | Life_function.Convex | Life_function.Unknown ->
         pass name "not concave: vacuous"
   end

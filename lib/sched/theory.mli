@@ -12,11 +12,10 @@ type check = {
   detail : string;  (** Human-readable witness or worst-violation report. *)
 }
 
-val decrement_check : ?tol:float -> Life_function.t -> c:float ->
-  Schedule.t -> check
+val decrement_check : Life_function.t -> c:float -> Schedule.t -> check
 (** Theorem 5.2 / Corollary 5.1: for concave [p], every internal period
     satisfies [t_{i+1} <= t_i − c] (and hence strict decrease); for convex
-    [p], [t_{i+1} >= t_i − c]. Dispatches on the declared shape; for
+    [p], [t_{i+1} >= t_i − c], each within 1e-7. Dispatches on the declared shape; for
     {!Life_function.Unknown} the check passes vacuously with a note. *)
 
 val period_count_check : Life_function.t -> c:float -> Schedule.t -> check
@@ -24,21 +23,42 @@ val period_count_check : Life_function.t -> c:float -> Schedule.t -> check
     fewer than [⌈sqrt(2L/c + 1/4) + 1/2⌉] periods and at most [t_0/c]
     periods. Vacuous for non-concave shapes. *)
 
-val t0_bounds_check : ?tol:float -> Life_function.t -> c:float ->
-  Schedule.t -> check
+val t0_bounds_check : Life_function.t -> c:float -> Schedule.t -> check
 (** Theorems 3.2/3.3 (+ Corollary 5.5 for concave [p]): the schedule's
     initial period lies inside the computed bracket, within a relative
-    [tol] (default 1e-6). *)
+    1e-6. *)
 
-val recurrence_check : ?tol:float -> Life_function.t -> c:float ->
-  Schedule.t -> check
+val recurrence_check : Life_function.t -> c:float -> Schedule.t -> check
 (** Corollary 3.1: consecutive periods satisfy eq. 3.6 with residual below
-    [tol] (default 1e-6) relative to [p]'s scale. *)
+    1e-6 relative to [p]'s scale. *)
+
+type margin = {
+  worst_delta : float;  (** The δ achieving the minimum margin. *)
+  worst_k : int;  (** The period index achieving it. *)
+  margin : float;
+      (** [min E(S) − E(S')] over tested exchanges; nonnegative iff [S]
+          beat them all. *)
+}
+
+val perturbation_margin : Life_function.t -> c:float -> Schedule.t -> margin
+(** [perturbation_margin p ~c s] evaluates [E(S) − E(S')] for every
+    [[k, ±δ]]-exchange [S'] ([t_k + δ] and [t_{k+1} − δ]) with δ in
+    [{0.001, 0.01, 0.05, 0.25} × min period], and returns the worst case —
+    the empirical Theorem 5.1 check. An exchange changes only terms [k]
+    and [k+1] of eq. 2.1, so each margin costs O(1) and the sweep O(m).
+
+    Theorem 5.1 is proved with ordinary subtraction, valid exactly while
+    every period stays above [c]; an exchange that drags a period below
+    [c] converts part of it into dead time under eq. 2.1's positive
+    subtraction and can "win" without contradicting the theorem. The
+    sweep therefore skips every [S'] with a period [<= c]; with none left
+    the margin is 0.
+    @raise Invalid_argument with fewer than 2 periods or [c < 0]. *)
 
 val local_optimality_check : Life_function.t -> c:float -> Schedule.t -> check
 (** Theorem 5.1: for concave [p], a schedule satisfying the recurrence
-    beats all its [±δ]-perturbations ({!Perturb.perturbation_margin} is
-    [>= −tol]). Vacuous for single-period schedules and non-concave
+    beats all its [±δ]-perturbations ({!perturbation_margin} is
+    [>= −1e-9]). Vacuous for single-period schedules and non-concave
     shapes. A trailing period of length [<= c] is stripped before the
     check: the theorem's algebra uses ordinary subtraction (justified by
     Prop 2.1 for all but the last period), and under positive subtraction

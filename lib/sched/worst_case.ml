@@ -71,7 +71,7 @@ let geometric_schedule ~horizon ~t0 ~factor =
   done;
   Schedule.of_periods (Array.of_list (List.rev !rev))
 
-let plan ?(polish = true) ?grace ~c ~horizon () =
+let plan ?grace ~c ~horizon () =
   let grace = match grace with Some g -> g | None -> 5.0 *. c in
   if not (grace > c) then invalid_arg "Worst_case.plan: grace must exceed c";
   if not (Float.is_finite horizon && horizon > grace) then
@@ -99,23 +99,20 @@ let plan ?(polish = true) ?grace ~c ~horizon () =
     [ 1.0; 1.1; 1.2; 1.3; 1.4; 1.5; 1.6; 1.8; 2.0; 2.2; 2.5; 3.0; 4.0 ];
   let ratio0, t0, factor = !best in
   let seed = geometric_schedule ~horizon ~t0 ~factor in
+  (* Polish: coordinate ascent on the raw periods; the objective is
+     piecewise smooth in each period so the grid+refine line search
+     applies. *)
+  let m = Schedule.num_periods seed in
+  let objective ts =
+    if Array.exists (fun t -> t <= 0.0) ts then neg_infinity
+    else competitive_ratio (Schedule.of_periods ts) ~c ~grace ~horizon
+  in
+  let lower = Array.make m (c /. 100.0) in
+  let upper = Array.make m horizon in
+  let xs, r =
+    Optimize.coordinate_ascent ~f:objective ~lower ~upper (Schedule.periods seed)
+  in
   let schedule, ratio =
-    if not polish then (seed, ratio0)
-    else begin
-      (* Coordinate ascent on the raw periods; the objective is piecewise
-         smooth in each period so the grid+refine line search applies. *)
-      let m = Schedule.num_periods seed in
-      let objective ts =
-        if Array.exists (fun t -> t <= 0.0) ts then neg_infinity
-        else competitive_ratio (Schedule.of_periods ts) ~c ~grace ~horizon
-      in
-      let lower = Array.make m (c /. 100.0) in
-      let upper = Array.make m horizon in
-      let xs, r =
-        Optimize.coordinate_ascent ~f:objective ~lower ~upper
-          (Schedule.periods seed)
-      in
-      if r > ratio0 then (Schedule.of_periods xs, r) else (seed, ratio0)
-    end
+    if r > ratio0 then (Schedule.of_periods xs, r) else (seed, ratio0)
   in
   { schedule; ratio; grace; horizon }

@@ -48,9 +48,9 @@ val geometric_schedule :
     to end exactly at [horizon]). Requires [t0 > 0], [factor >= 1],
     [horizon >= t0]. *)
 
-val plan : ?polish:bool -> ?grace:float -> c:float -> horizon:float -> unit -> t
+val plan : ?grace:float -> c:float -> horizon:float -> unit -> t
 (** [plan ~c ~horizon ()] maximises the competitive ratio over geometric
-    schedules (grid + refine over [(t0, γ)]), then (when [polish], default
-    [true]) runs coordinate ascent directly on the period vector. [grace]
+    schedules (grid + refine over [(t0, γ)]), then polishes the winner by
+    coordinate ascent directly on the period vector. [grace]
     defaults to [5c]. Requires [c < grace < horizon] with [horizon]
     finite. @raise Invalid_argument otherwise. *)

@@ -57,14 +57,14 @@ let count_censored obs =
     (fun acc o -> if o.Owner_model.observed then acc else acc + 1)
     0 obs
 
-(* A negative duration would be dropped silently when the knots are
-   de-duplicated against the (0, 1) boundary knot. *)
+(* A zero or negative duration would be dropped silently when the knots
+   are de-duplicated against the (0, 1) boundary knot. *)
 let check_durations name obs =
   Array.iter
     (fun o ->
       let d = o.Owner_model.duration in
-      if not (Float.is_finite d) || d < 0.0 then
-        invalid_arg (name ^ ": durations must be nonnegative and finite"))
+      if not (Float.is_finite d) || d <= 0.0 then
+        invalid_arg (name ^ ": durations must be positive and finite"))
     obs
 
 let raw_steps obs =

@@ -22,7 +22,7 @@ val of_observations :
     inter-knot gap so the fitted survival reaches 0 smoothly rather than
     truncating at a positive value.
     @raise Invalid_argument on empty input, all-censored data, or a
-    negative or non-finite (NaN, infinite) duration. *)
+    zero, negative or non-finite (NaN, infinite) duration. *)
 
 val of_durations : ?knots:int -> float array -> estimate
 (** [of_durations ds] is {!of_observations} on fully-observed data.

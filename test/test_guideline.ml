@@ -78,36 +78,6 @@ let test_schedule_is_productive () =
         (Schedule.is_productive ~c:1.0 g.Guideline.schedule))
     (Families.all_paper_scenarios ~c:1.0)
 
-(* --- risk-averse planning ---------------------------------------------- *)
-
-let test_risk_averse_lambda_zero_matches_plan () =
-  let lf = Families.uniform ~lifespan:100.0 in
-  let a = Guideline.plan lf ~c:1.0 in
-  let b = Guideline.plan_risk_averse ~lambda_:0.0 lf ~c:1.0 in
-  Alcotest.(check (float 1e-6)) "same expected work" a.Guideline.expected_work
-    b.Guideline.expected_work
-
-let test_risk_averse_trades_mean_for_tail () =
-  let lf = Families.uniform ~lifespan:100.0 in
-  let c = 1.0 in
-  let neutral = Guideline.plan_risk_averse ~lambda_:0.0 lf ~c in
-  let averse = Guideline.plan_risk_averse ~lambda_:2.0 lf ~c in
-  let law r = Work_distribution.of_schedule lf ~c r.Guideline.schedule in
-  let dn = law neutral and da = law averse in
-  Alcotest.(check bool) "mean can only drop" true
-    (da.Work_distribution.mean <= dn.Work_distribution.mean +. 1e-9);
-  Alcotest.(check bool)
-    (Printf.sprintf "stddev shrinks (%.3f -> %.3f)" dn.Work_distribution.stddev
-       da.Work_distribution.stddev)
-    true
-    (da.Work_distribution.stddev <= dn.Work_distribution.stddev +. 1e-9)
-
-let test_risk_averse_validation () =
-  let lf = Families.uniform ~lifespan:10.0 in
-  match Guideline.plan_risk_averse ~lambda_:(-1.0) lf ~c:1.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative lambda accepted"
-
 (* --- online / conditional scheduling (§6) ------------------------------ *)
 
 let test_online_first_step_matches_plan () =
@@ -147,29 +117,6 @@ let test_online_validation () =
   match Guideline.next_period_online lf ~c:1.0 ~elapsed:(-1.0) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative elapsed accepted"
-
-(* --- plan_batch dedup -------------------------------------------------- *)
-
-let test_guideline_batch_dedups () =
-  let lf = Families.uniform ~lifespan:100.0 in
-  let lf2 = Families.geometric_increasing ~lifespan:30.0 in
-  let batch = [ (lf, 1.0); (lf2, 1.0); (lf, 1.0); (lf, 2.0); (lf2, 1.0) ] in
-  let rs = Array.of_list (Guideline.plan_batch batch) in
-  Alcotest.(check int) "result per input" 5 (Array.length rs);
-  (* Duplicates fan out the same computation: physically shared. *)
-  Alcotest.(check bool) "dup scenario shares result" true (rs.(0) == rs.(2));
-  Alcotest.(check bool) "dup scenario shares result (2)" true
-    (rs.(1) == rs.(4));
-  Alcotest.(check bool) "different c not shared" true (rs.(0) != rs.(3));
-  (* And order matches the undeduped map. *)
-  List.iteri
-    (fun i (lf, c) ->
-      let direct = Guideline.plan lf ~c in
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "slot %d matches direct" i)
-        direct.Guideline.expected_work
-        rs.(i).Guideline.expected_work)
-    batch
 
 (* --- properties -------------------------------------------------------- *)
 
@@ -220,14 +167,6 @@ let () =
           Alcotest.test_case "productive schedules" `Quick
             test_schedule_is_productive;
         ] );
-      ( "risk-averse",
-        [
-          Alcotest.test_case "lambda 0 = plan" `Quick
-            test_risk_averse_lambda_zero_matches_plan;
-          Alcotest.test_case "trades mean for tail" `Quick
-            test_risk_averse_trades_mean_for_tail;
-          Alcotest.test_case "validation" `Quick test_risk_averse_validation;
-        ] );
       ( "online",
         [
           Alcotest.test_case "first step = plan t0" `Quick
@@ -239,10 +178,5 @@ let () =
           Alcotest.test_case "none when exhausted" `Quick
             test_online_none_when_exhausted;
           Alcotest.test_case "validation" `Quick test_online_validation;
-        ] );
-      ( "batch",
-        [
-          Alcotest.test_case "Guideline.plan_batch dedups" `Quick
-            test_guideline_batch_dedups;
         ] );
     ]

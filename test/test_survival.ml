@@ -109,7 +109,9 @@ let test_all_censored_rejected () =
 let test_bad_durations_rejected () =
   let rejects label f =
     match f () with
-    | exception Invalid_argument _ -> ()
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool) (label ^ ": " ^ msg) true
+          (String.ends_with ~suffix:"durations must be positive and finite" msg)
     | _ -> Alcotest.fail (label ^ " accepted")
   in
   let observed ds =
@@ -127,14 +129,23 @@ let test_bad_durations_rejected () =
       ("NaN", [| 1.0; nan; 2.0 |]);
       ("negative", [| 1.0; -0.5; 2.0 |]);
       ("infinite", [| 1.0; infinity; 2.0 |]);
+      (* A zero used to vanish into the (0, 1) boundary knot: this sample
+         gave p(0.001) = 0.9998 where it says 0.25. *)
+      ("zero", [| 0.0; 0.0; 0.0; 5.0 |]);
     ];
-  rejects "censored NaN" (fun () ->
-      ignore
-        (Survival.of_observations
-           [|
-             { Owner_model.duration = 1.0; observed = true };
-             { Owner_model.duration = nan; observed = false };
-           |]))
+  List.iter
+    (fun (label, d) ->
+      let censored =
+        [|
+          { Owner_model.duration = 1.0; observed = true };
+          { Owner_model.duration = d; observed = false };
+        |]
+      in
+      rejects ("of_observations: censored " ^ label) (fun () ->
+          ignore (Survival.of_observations censored));
+      rejects ("confidence_bands: censored " ^ label) (fun () ->
+          ignore (Survival.confidence_bands censored)))
+    [ ("NaN", nan); ("zero", 0.0) ]
 
 let test_knots_recorded () =
   let rng = g () in
